@@ -22,13 +22,7 @@ from .dataset import (
     write_dataset,
     write_predictions,
 )
-from .gazetteer import (
-    GazetteerStore,
-    GeocoderClient,
-    normalize_name,
-    oracle_lookup,
-    remote_geocode,
-)
+from .gazetteer import GazetteerStore, GeocoderClient, normalize_name
 from .geo import (
     EARTH_RADIUS_KM,
     BoundingBox,
@@ -118,11 +112,9 @@ __all__ = [
     "load_dataset",
     "mention_sentence",
     "normalize_name",
-    "oracle_lookup",
     "parse_bbox",
     "parse_point",
     "read_predictions",
-    "remote_geocode",
     "render_error_report",
     "render_report",
     "run_experiment",

@@ -16,7 +16,7 @@ over-tightness (precision > recall).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
 from .geo import BoundingBox, GeoPoint, bbox_intersection
@@ -43,16 +43,7 @@ class ErrorReport:
     recall_gt_precision: int = 0
 
     def to_record(self) -> dict:
-        return {
-            "n_scored": self.n_scored,
-            "sign_flip_suspects": self.sign_flip_suspects,
-            "coord_copy_suspects": self.coord_copy_suspects,
-            "coord_copy_suspects_loose": self.coord_copy_suspects_loose,
-            "invalid_parse": self.invalid_parse,
-            "out_of_range_parse": self.out_of_range_parse,
-            "precision_gt_recall": self.precision_gt_recall,
-            "recall_gt_precision": self.recall_gt_precision,
-        }
+        return asdict(self)
 
 
 def _negate_lons(box: BoundingBox) -> BoundingBox:

@@ -14,8 +14,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .gazetteer import geoinfo_from_obj, geoinfo_to_obj
-from .geo import BoundingBox, GeoInfo, GeoPoint, format_bbox
+from .geo import BoundingBox, GeoInfo, GeoPoint, format_bbox, geoinfo_from_obj, geoinfo_to_obj
 from .metrics import Prediction
 from .netutil import atomic_write_text
 from .prompts import PromptKind
@@ -83,22 +82,9 @@ class LoadReport:
 
 
 def _mention_from_obj(obj: dict) -> Mention:
-    name = str(obj["name"])
-    gold = None
-    if obj.get("lat") is not None and obj.get("lon") is not None:
-        bbox = None
-        if obj.get("bbox") is not None:
-            vals = obj["bbox"]
-            if len(vals) != 4:
-                raise ValueError("mention bbox must have 4 values")
-            bbox = BoundingBox(*(float(v) for v in vals))
-        gold = GeoInfo(
-            name=name,
-            center=GeoPoint(lat=float(obj["lat"]), lon=float(obj["lon"])),
-            country=str(obj["country"]) if obj.get("country") is not None else None,
-            bbox=bbox,
-        )
-    return Mention(name=name, gold=gold)
+    # A mention has gold only when both coordinates are present.
+    has_gold = obj.get("lat") is not None and obj.get("lon") is not None
+    return Mention(name=str(obj["name"]), gold=geoinfo_from_obj(obj) if has_gold else None)
 
 
 def record_from_obj(obj: dict) -> LocationRecord:
@@ -126,19 +112,11 @@ def record_to_obj(record: LocationRecord) -> dict:
         obj["gold_name"] = record.gold_name
     if record.gold_country is not None:
         obj["gold_country"] = record.gold_country
-    mentions = []
-    for m in record.mentions:
-        mo: dict = {"name": m.name}
-        if m.gold is not None:
-            mo["lat"] = m.gold.center.lat
-            mo["lon"] = m.gold.center.lon
-            if m.gold.country is not None:
-                mo["country"] = m.gold.country
-            if m.gold.bbox is not None:
-                mo["bbox"] = list(m.gold.bbox.as_tuple())
-        mentions.append(mo)
     # mention list always written, even when empty, to keep the schema visible
-    obj["mentions"] = mentions
+    obj["mentions"] = [
+        {**geoinfo_to_obj(m.gold), "name": m.name} if m.gold is not None else {"name": m.name}
+        for m in record.mentions
+    ]
     return obj
 
 
@@ -185,10 +163,9 @@ def load_dataset(path: str | os.PathLike) -> tuple[list[LocationRecord], LoadRep
 
 
 def write_dataset(records: Iterable[LocationRecord], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_obj(record), ensure_ascii=False))
-            fh.write("\n")
+    """Write records as JSONL, atomically: all lines or the old file."""
+    lines = [json.dumps(record_to_obj(r), ensure_ascii=False) for r in records]
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
 def golds_by_id(records: Iterable[LocationRecord]) -> dict[str, BoundingBox]:
@@ -280,32 +257,25 @@ def export_finetune_jsonl(
         raise ValueError(f"unsupported tuning export approach {approach!r}")
 
     stats = ExportStats()
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for record in records:
-            if kind is PromptKind.GEO_AUGMENTED_BOX:
-                recalled = [(m.name, m.gold) for m in record.mentions if m.gold is not None]
-                if not recalled:
-                    stats.skipped += 1
-                    continue
-                request = build_prompt(
-                    kind,
-                    model="",
-                    description=record.description,
-                    recalled=recalled,
-                    few_shot=False,
-                )
-            else:
-                request = build_prompt(
-                    kind, model="", description=record.description, few_shot=False
-                )
-            row = {
-                "system": request.system,
-                "user": request.user,
-                "assistant": format_bbox(record.gold_bbox),
-            }
-            fh.write(json.dumps(row, ensure_ascii=False))
-            fh.write("\n")
-            stats.written += 1
+    lines = []
+    for record in records:
+        recalled = []
+        if kind is PromptKind.GEO_AUGMENTED_BOX:
+            recalled = [(m.name, m.gold) for m in record.mentions if m.gold is not None]
+            if not recalled:
+                stats.skipped += 1
+                continue
+        request = build_prompt(
+            kind, model="", description=record.description, recalled=recalled, few_shot=False
+        )
+        row = {
+            "system": request.system,
+            "user": request.user,
+            "assistant": format_bbox(record.gold_bbox),
+        }
+        lines.append(json.dumps(row, ensure_ascii=False))
+        stats.written += 1
+    atomic_write_text(out_path, "".join(line + "\n" for line in lines))
     return stats
 
 

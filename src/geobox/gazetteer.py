@@ -21,8 +21,8 @@ from typing import Iterable, Iterator
 
 import requests
 
-from .geo import BoundingBox, GeoInfo, GeoPoint
-from .netutil import JsonlCache, ProtocolError, RateLimiter, request_json
+from .geo import BoundingBox, GeoInfo, GeoPoint, geoinfo_from_obj, geoinfo_to_obj
+from .netutil import JsonlCache, ProtocolError, RateLimiter, atomic_write_text, request_json
 
 logger = logging.getLogger(__name__)
 
@@ -30,33 +30,6 @@ logger = logging.getLogger(__name__)
 def normalize_name(name: str) -> str:
     """Normalize a location name for keying: trim, collapse whitespace, casefold."""
     return " ".join(name.split()).casefold()
-
-
-def geoinfo_to_obj(info: GeoInfo) -> dict:
-    obj: dict = {"name": info.name, "lat": info.center.lat, "lon": info.center.lon}
-    if info.country is not None:
-        obj["country"] = info.country
-    if info.bbox is not None:
-        obj["bbox"] = list(info.bbox.as_tuple())
-    if info.source_id is not None:
-        obj["id"] = info.source_id
-    return obj
-
-
-def geoinfo_from_obj(obj: dict) -> GeoInfo:
-    bbox = None
-    if obj.get("bbox") is not None:
-        vals = obj["bbox"]
-        if len(vals) != 4:
-            raise ValueError(f"bbox must have 4 values, got {len(vals)}")
-        bbox = BoundingBox(*(float(v) for v in vals))
-    return GeoInfo(
-        name=str(obj["name"]),
-        center=GeoPoint(lat=float(obj["lat"]), lon=float(obj["lon"])),
-        country=str(obj["country"]) if obj.get("country") is not None else None,
-        bbox=bbox,
-        source_id=str(obj["id"]) if obj.get("id") is not None else None,
-    )
 
 
 class GazetteerStore:
@@ -129,15 +102,9 @@ class GazetteerStore:
         return store
 
     def save(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for info in self:
-                fh.write(json.dumps(geoinfo_to_obj(info), ensure_ascii=False))
-                fh.write("\n")
-
-
-def oracle_lookup(store: GazetteerStore, name: str, country: str | None = None) -> GeoInfo | None:
-    """Pure table lookup by normalized name; never performs I/O."""
-    return store.lookup(name, country)
+        """Write the store as JSONL, atomically: the whole table or the old file."""
+        lines = [json.dumps(geoinfo_to_obj(info), ensure_ascii=False) for info in self]
+        atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
 class GeocoderClient:
@@ -251,8 +218,3 @@ class GeocoderClient:
             )
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed geocoder result for {query!r}: {exc}") from exc
-
-
-def remote_geocode(client: GeocoderClient, name: str) -> GeoInfo | None:
-    """Resolve one name through the remote geocoder (cache-aware)."""
-    return client.geocode(name)

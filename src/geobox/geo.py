@@ -110,6 +110,35 @@ class GeoInfo:
     source_id: str | None = None
 
 
+def geoinfo_to_obj(info: GeoInfo) -> dict:
+    """JSON object for a GeoInfo: name, lat, lon, then country, bbox, id when set."""
+    obj: dict = {"name": info.name, "lat": info.center.lat, "lon": info.center.lon}
+    if info.country is not None:
+        obj["country"] = info.country
+    if info.bbox is not None:
+        obj["bbox"] = list(info.bbox.as_tuple())
+    if info.source_id is not None:
+        obj["id"] = info.source_id
+    return obj
+
+
+def geoinfo_from_obj(obj: dict) -> GeoInfo:
+    """Decode the object ``geoinfo_to_obj`` writes; raises KeyError or ValueError."""
+    bbox = None
+    if obj.get("bbox") is not None:
+        vals = obj["bbox"]
+        if len(vals) != 4:
+            raise ValueError(f"bbox must have 4 values, got {len(vals)}")
+        bbox = BoundingBox(*(float(v) for v in vals))
+    return GeoInfo(
+        name=str(obj["name"]),
+        center=GeoPoint(lat=float(obj["lat"]), lon=float(obj["lon"])),
+        country=str(obj["country"]) if obj.get("country") is not None else None,
+        bbox=bbox,
+        source_id=str(obj["id"]) if obj.get("id") is not None else None,
+    )
+
+
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points, in kilometers.
 

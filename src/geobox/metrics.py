@@ -13,7 +13,7 @@ Three measurements, all defined on the sphere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
 from .geo import (
@@ -73,16 +73,7 @@ class MetricsReport:
     area_f1: float | None
 
     def to_record(self) -> dict:
-        return {
-            "label": self.label,
-            "n_total": self.n_total,
-            "n_covered": self.n_covered,
-            "coverage_pct": self.coverage_pct,
-            "mean_distance_km": self.mean_distance_km,
-            "area_precision": self.area_precision,
-            "area_recall": self.area_recall,
-            "area_f1": self.area_f1,
-        }
+        return asdict(self)
 
     @classmethod
     def from_record(cls, rec: Mapping) -> "MetricsReport":

@@ -78,15 +78,19 @@ class JsonlCache:
         self._path = os.fspath(path) if path is not None else None
         self._lock = threading.Lock()
         self._data: dict[str, Any] = {}
+        # A killed writer can leave a last line with no newline; the next
+        # append must not land on the end of that fragment.
+        self._torn_tail = False
         if self._path is not None and os.path.exists(self._path):
             self._load()
 
     def _load(self) -> None:
         assert self._path is not None
         skipped = 0
+        raw = "\n"  # an empty file has no torn tail
         with open(self._path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
                 if not line:
                     continue
                 try:
@@ -99,6 +103,7 @@ class JsonlCache:
                     continue
                 # Last write wins, matching append order.
                 self._data[key] = value
+        self._torn_tail = not raw.endswith("\n")
         if skipped:
             logger.warning("cache %s: %d corrupt line(s) ignored", self._path, skipped)
 
@@ -119,6 +124,9 @@ class JsonlCache:
             if self._path is not None:
                 os.makedirs(os.path.dirname(os.path.abspath(self._path)), exist_ok=True)
                 with open(self._path, "a", encoding="utf-8") as fh:
+                    if self._torn_tail:
+                        fh.write("\n")
+                        self._torn_tail = False
                     fh.write(json.dumps({"key": key, "value": value}, ensure_ascii=False))
                     fh.write("\n")
                     fh.flush()

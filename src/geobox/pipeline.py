@@ -14,14 +14,14 @@ import enum
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .dataset import LocationRecord, golds_by_id
-from .gazetteer import GazetteerStore, GeocoderClient, oracle_lookup, remote_geocode
+from .gazetteer import GazetteerStore, GeocoderClient
 from .geo import GeoInfo
 from .metrics import MetricsReport, Prediction, aggregate
 from .netutil import EmptyResponseError, ProtocolError, TransportError
-from .prompts import PromptKind
+from .prompts import NAME_INPUT_KINDS, PromptKind
 from .reasoner import ChatClient, build_prompt, extract_prediction
 
 logger = logging.getLogger(__name__)
@@ -90,55 +90,63 @@ def _failure_flag(exc: Exception) -> str:
     return "protocol_error"
 
 
-def _recall(
-    config: ExperimentConfig, record: LocationRecord, deps: RunDeps
-) -> tuple[list[tuple[str, GeoInfo]], tuple[str, ...]]:
-    """Gather (name, GeoInfo) pairs for the record's mentions.
+# One (name, GeoInfo or None) pair per candidate mention; None marks a lost one.
+_Candidates = list[tuple[str, GeoInfo | None]]
 
-    Returns the recalled pairs plus any flags describing recall losses.
+
+def _gold(config: ExperimentConfig, record: LocationRecord, deps: RunDeps) -> _Candidates:
+    return [(m.name, m.gold) for m in record.mentions]
+
+
+def _gazetteer(config: ExperimentConfig, record: LocationRecord, deps: RunDeps) -> _Candidates:
+    store = deps.store
+    return [(m.name, (store.lookup(m.name) if store else None) or m.gold) for m in record.mentions]
+
+
+def _geocoder(config: ExperimentConfig, record: LocationRecord, deps: RunDeps) -> _Candidates:
+    return [(m.name, deps.geocoder.geocode(m.name)) for m in record.mentions]
+
+
+def _llm_recaller(config: ExperimentConfig, record: LocationRecord, deps: RunDeps) -> _Candidates:
+    request = build_prompt(
+        PromptKind.MENTION_RECALLER,
+        model=config.recaller_model or config.model,
+        description=record.description,
+        few_shot=config.few_shot,
+    )
+    text = deps.chat.complete(request)
+    return [
+        (m.name, GeoInfo(name=m.name, center=m.center) if m.valid else None)
+        for m in extract_prediction(PromptKind.MENTION_RECALLER, text).mentions
+    ]
+
+
+class _Pipeline(NamedTuple):
+    """How one approach grounds a record.
+
+    ``recall``, when set, is the recall stage; each mention it loses is
+    flagged as ``miss_flag + name`` unless ``miss_flag`` is None.
     """
-    approach = config.approach
-    recalled: list[tuple[str, GeoInfo]] = []
-    flags: list[str] = []
 
-    if approach is Approach.REASONING_ORACLE:
-        recalled = [(m.name, m.gold) for m in record.mentions if m.gold is not None]
+    prompt: PromptKind
+    recall: Callable[[ExperimentConfig, LocationRecord, RunDeps], _Candidates] | None = None
+    miss_flag: str | None = None
 
-    elif approach is Approach.GEOAUG_ORACLE:
-        for mention in record.mentions:
-            info = oracle_lookup(deps.store, mention.name) if deps.store else None
-            if info is None:
-                info = mention.gold
-            if info is None:
-                flags.append(f"recall_miss:{mention.name}")
-                continue
-            recalled.append((mention.name, info))
 
-    elif approach is Approach.GEOAUG_REMOTE:
-        for mention in record.mentions:
-            info = remote_geocode(deps.geocoder, mention.name)
-            if info is None:
-                flags.append(f"recall_miss:{mention.name}")
-                continue
-            recalled.append((mention.name, info))
-
-    elif approach is Approach.END_TO_END:
-        request = build_prompt(
-            PromptKind.MENTION_RECALLER,
-            model=config.recaller_model or config.model,
-            description=record.description,
-            few_shot=config.few_shot,
-        )
-        text = deps.chat.complete(request)
-        for mention in extract_prediction(PromptKind.MENTION_RECALLER, text).mentions:
-            if not mention.valid:
-                flags.append(f"invalid_mention:{mention.name}")
-                continue
-            recalled.append((mention.name, GeoInfo(name=mention.name, center=mention.center)))
-
-    else:  # pragma: no cover - guarded by run_record dispatch
-        raise ValueError(f"{approach} is not a recall approach")
-    return recalled, tuple(flags)
+# Rows hold only this module's stage functions. They reach build_prompt,
+# extract_prediction and the clients through names looked up at call
+# time, so a tracer that rebinds those module names sees every call.
+_PIPELINES: dict[Approach, _Pipeline] = {
+    Approach.KNOWLEDGE_POINT: _Pipeline(PromptKind.KNOWLEDGE_POINT),
+    Approach.KNOWLEDGE_BOX: _Pipeline(PromptKind.KNOWLEDGE_BOX),
+    Approach.DIRECT: _Pipeline(PromptKind.DIRECT_BOX),
+    Approach.REASONING_ORACLE: _Pipeline(PromptKind.GEO_AUGMENTED_BOX, _gold),
+    Approach.GEOAUG_ORACLE: _Pipeline(PromptKind.GEO_AUGMENTED_BOX, _gazetteer, "recall_miss:"),
+    Approach.GEOAUG_REMOTE: _Pipeline(PromptKind.GEO_AUGMENTED_BOX, _geocoder, "recall_miss:"),
+    Approach.END_TO_END: _Pipeline(
+        PromptKind.GEO_AUGMENTED_BOX, _llm_recaller, "invalid_mention:"
+    ),
+}
 
 
 def run_record(config: ExperimentConfig, record: LocationRecord, deps: RunDeps) -> Prediction:
@@ -151,66 +159,41 @@ def run_record(config: ExperimentConfig, record: LocationRecord, deps: RunDeps) 
     flags. Transport and protocol failures do raise; run_experiment
     converts those to uncovered predictions.
     """
-    approach = config.approach
-    tag = approach.value
-
-    if approach in (Approach.KNOWLEDGE_POINT, Approach.KNOWLEDGE_BOX):
-        if record.gold_name is None:
-            return Prediction(
-                record_id=record.record_id, approach=tag, model=config.model,
-                flags=("no_gold_name",),
-            )
-        kind = (
-            PromptKind.KNOWLEDGE_POINT
-            if approach is Approach.KNOWLEDGE_POINT
-            else PromptKind.KNOWLEDGE_BOX
-        )
-        request = build_prompt(
-            kind,
-            model=config.model,
-            location_name=record.gold_name,
-            country=record.gold_country,
-            few_shot=config.few_shot,
-        )
-        text = deps.chat.complete(request)
-        extraction = extract_prediction(kind, text)
+    pipeline = _PIPELINES[config.approach]
+    tag = config.approach.value
+    if pipeline.prompt in NAME_INPUT_KINDS and record.gold_name is None:
         return Prediction(
             record_id=record.record_id, approach=tag, model=config.model,
-            bbox=extraction.bbox, point=extraction.point,
-            raw_text=text, flags=extraction.flags,
+            flags=("no_gold_name",),
         )
 
-    if approach is Approach.DIRECT:
-        request = build_prompt(
-            PromptKind.DIRECT_BOX,
-            model=config.model,
-            description=record.description,
-            few_shot=config.few_shot,
-        )
-        text = deps.chat.complete(request)
-        extraction = extract_prediction(PromptKind.DIRECT_BOX, text)
-        return Prediction(
-            record_id=record.record_id, approach=tag, model=config.model,
-            bbox=extraction.bbox, raw_text=text, flags=extraction.flags,
-        )
+    recalled: list[tuple[str, GeoInfo]] = []
+    flags: list[str] = []
+    if pipeline.recall is not None:
+        for name, info in pipeline.recall(config, record, deps):
+            if info is not None:
+                recalled.append((name, info))
+            elif pipeline.miss_flag is not None:
+                flags.append(pipeline.miss_flag + name)
+        if not recalled:
+            flags.append("degraded")
 
-    recalled, recall_flags = _recall(config, record, deps)
-    if not recalled:
-        recall_flags = recall_flags + ("degraded",)
     request = build_prompt(
-        PromptKind.GEO_AUGMENTED_BOX,
+        pipeline.prompt,
         model=config.model,
         description=record.description,
+        location_name=record.gold_name,
+        country=record.gold_country,
         recalled=recalled,
         few_shot=config.few_shot,
         allow_empty_mentions=True,
     )
     text = deps.chat.complete(request)
-    extraction = extract_prediction(PromptKind.GEO_AUGMENTED_BOX, text)
+    extraction = extract_prediction(pipeline.prompt, text)
     return Prediction(
         record_id=record.record_id, approach=tag, model=config.model,
-        bbox=extraction.bbox, raw_text=text,
-        recalled=tuple(recalled), flags=recall_flags + extraction.flags,
+        bbox=extraction.bbox, point=extraction.point, raw_text=text,
+        recalled=tuple(recalled), flags=tuple(flags) + extraction.flags,
     )
 
 

@@ -124,10 +124,6 @@ _EXAMPLES: dict[PromptKind, str] = {
 # location payload; the rest take a description (plus, for the
 # geo-augmented kind, recalled mention sentences).
 NAME_INPUT_KINDS = frozenset({PromptKind.KNOWLEDGE_POINT, PromptKind.KNOWLEDGE_BOX})
-POINT_OUTPUT_KINDS = frozenset({PromptKind.KNOWLEDGE_POINT})
-BOX_OUTPUT_KINDS = frozenset(
-    {PromptKind.KNOWLEDGE_BOX, PromptKind.GEO_AUGMENTED_BOX, PromptKind.DIRECT_BOX}
-)
 
 
 def system_text(kind: PromptKind, few_shot: bool = True) -> str:

@@ -20,7 +20,7 @@ import requests
 
 from .geo import BoundingBox, GeoInfo, GeoPoint, format_coord
 from .netutil import EmptyResponseError, JsonlCache, ProtocolError, RateLimiter, request_json
-from .parsing import parse_bbox, parse_point
+from .parsing import _NUM, parse_bbox, parse_point
 from .prompts import NAME_INPUT_KINDS, PromptKind, system_text
 
 # Decoding settings are part of the protocol: deterministic, bounded output.
@@ -162,7 +162,6 @@ def _order_by_appearance(
 # reaching back to the previous sentence/clause boundary. Names holding
 # internal punctuation (e.g. "St. Petersburg") split at the dot; that is
 # the cost of boundary detection over unstructured output.
-_NUM = r"[-+]?\d+(?:\.\d+)?"
 _MENTION_RE = re.compile(
     rf"([^.!?:;\n]+?)\s+has a longitude of\s+({_NUM})\s+and latitude of\s+({_NUM})"
 )
@@ -206,16 +205,14 @@ def extract_prediction(kind: PromptKind, text: str) -> Extraction:
         return Extraction(mentions=tuple(extract_mentions(text)))
     if kind is PromptKind.KNOWLEDGE_POINT:
         parsed = parse_point(text)
-        if parsed.ok:
-            return Extraction(point=parsed.point)
-        if parsed.found:
-            return Extraction(flags=tuple(f"invalid_{e}" for e in parsed.errors))
-        return Extraction(flags=("no_parse",))
-    parsed_box = parse_bbox(text)
-    if parsed_box.ok:
-        return Extraction(bbox=parsed_box.box)
-    if parsed_box.found:
-        return Extraction(flags=tuple(f"invalid_{e}" for e in parsed_box.errors))
+        success = Extraction(point=parsed.point)
+    else:
+        parsed = parse_bbox(text)
+        success = Extraction(bbox=parsed.box)
+    if parsed.ok:
+        return success
+    if parsed.found:
+        return Extraction(flags=tuple(f"invalid_{e}" for e in parsed.errors))
     return Extraction(flags=("no_parse",))
 
 

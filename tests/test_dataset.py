@@ -81,6 +81,27 @@ def test_dataset_file_round_trip(tmp_path):
     assert report.n_skipped == 0
 
 
+def _fail_after_first(records):
+    yield records[0]
+    raise RuntimeError("record source failed")
+
+
+@pytest.mark.parametrize(
+    "write",
+    [write_dataset, lambda records, path: export_finetune_jsonl(records, "direct", path)],
+    ids=["write_dataset", "export_finetune_jsonl"],
+)
+def test_writer_keeps_old_file_when_input_fails(write, tmp_path):
+    path = tmp_path / "out.jsonl"
+    records = make_fixture_records()
+    write(records[:2], path)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        write(_fail_after_first(records[5:]), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_load_skips_bad_lines_and_reports_them(tmp_path):
     path = tmp_path / "data.jsonl"
     good = record_to_obj(make_fixture_records()[0])

@@ -3,16 +3,9 @@ import logging
 
 import pytest
 
-from geobox import (
-    BoundingBox,
-    GazetteerStore,
-    GeocoderClient,
-    GeoInfo,
-    GeoPoint,
-    oracle_lookup,
-    remote_geocode,
-)
-from geobox.gazetteer import geoinfo_from_obj, geoinfo_to_obj, normalize_name
+from geobox import BoundingBox, GazetteerStore, GeocoderClient, GeoInfo, GeoPoint
+from geobox.gazetteer import normalize_name
+from geobox.geo import geoinfo_from_obj, geoinfo_to_obj
 from geobox.netutil import ProtocolError, TransportError
 
 # --- name normalization ------------------------------------------------------
@@ -59,8 +52,8 @@ def test_store_len_and_iter():
 
 def test_oracle_lookup_is_pure_table_access():
     store = GazetteerStore([_info("Oman", 21.0000287, 57.0)])
-    assert oracle_lookup(store, "oman").center.lat == 21.0000287
-    assert oracle_lookup(store, "atlantis") is None
+    assert store.lookup("oman").center.lat == 21.0000287
+    assert store.lookup("atlantis") is None
 
 
 def test_geoinfo_obj_round_trip():
@@ -89,6 +82,20 @@ def test_store_save_load_round_trip(tmp_path):
     assert len(loaded) == 2
     assert loaded.lookup("oman").country == "Oman"
     assert loaded.lookup("Iran").center.lon == 53.688
+
+
+def test_store_save_keeps_old_file_when_a_row_fails(tmp_path):
+    path = tmp_path / "gaz.jsonl"
+    GazetteerStore([_info("Oman", 21.0000287, 57.0)]).save(path)
+    before = path.read_bytes()
+    # a set is not JSON, so encoding the second row raises
+    broken = GazetteerStore(
+        [_info("Iran", 32.6475314, 53.688), _info("Bad", 1.0, 2.0, country={"x"})]
+    )
+    with pytest.raises(TypeError):
+        broken.save(path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_store_load_skips_bad_lines(tmp_path, caplog):
@@ -253,8 +260,8 @@ def test_geocode_rate_limit_spacing(geocoder_stub):
     assert times[-1] - times[0] >= 4 / 50.0 - 0.005
 
 
-def test_remote_geocode_wrapper(geocoder_stub):
+def test_geocode_known_then_unknown(geocoder_stub):
     geocoder_stub.add("Oman", lat=21.0000287, lng=57.0)
     client = _client(geocoder_stub)
-    assert remote_geocode(client, "Oman").center.lat == 21.0000287
-    assert remote_geocode(client, "Atlantis") is None
+    assert client.geocode("Oman").center.lat == 21.0000287
+    assert client.geocode("Atlantis") is None
