@@ -56,7 +56,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser, and the parser of each subcommand by name."""
     parser = _Parser(prog="geobox", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -106,7 +107,7 @@ def _build_parser() -> _Parser:
     rep.add_argument("--config", help="JSON file presetting any flag (flags win)")
     rep.add_argument("inputs", nargs="*", help="metric report JSON files (from --report-out)")
     rep.add_argument("--format", choices=_FORMATS)
-    return parser
+    return parser, sub.choices
 
 
 _DEFAULTS = {
@@ -125,8 +126,34 @@ _DEFAULTS = {
 }
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Layer defaults, config file, and explicit flags (strongest last)."""
+def _config_value_error(action: argparse.Action, value) -> str | None:
+    """Why a config-file value could not have come from its flag, or None."""
+    if isinstance(action, argparse.BooleanOptionalAction):
+        ok, wanted = isinstance(value, bool), "true or false"
+    elif action.nargs == "*":
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        wanted = "a list of strings"
+    elif action.type is int:
+        ok, wanted = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif action.type is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        wanted = "a number"
+    else:
+        ok, wanted = isinstance(value, str), "a string"
+    if not ok:
+        return f"must be {wanted}, got {json.dumps(value)}"
+    if action.choices is not None and value not in action.choices:
+        return f"must be one of {', '.join(action.choices)}, got {json.dumps(value)}"
+    return None
+
+
+def _merge_config(args: argparse.Namespace, command: _Parser) -> dict:
+    """Layer defaults, config file, and explicit flags (strongest last).
+
+    A config key naming a flag of ``command`` must hold a value that flag
+    could give; other keys pass through, so one file can serve several
+    subcommands.
+    """
     merged = dict(_DEFAULTS.get(args.command, {}))
     config_path = getattr(args, "config", None)
     if config_path:
@@ -137,6 +164,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"cannot read config {config_path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError(f"config {config_path} must hold a JSON object")
+        for action in command._actions:
+            if action.dest in loaded and action.dest in vars(args):
+                problem = _config_value_error(action, loaded[action.dest])
+                if problem is not None:
+                    raise UsageError(f"config {config_path}: {action.dest} {problem}")
         merged.update(loaded)
     for key, value in vars(args).items():
         if key in ("command", "config"):
@@ -175,22 +207,20 @@ def _cmd_run(options: dict) -> int:
     store = None
     if options.get("gazetteer"):
         store = GazetteerStore.load(options["gazetteer"])
-    retries = int(options.get("retries", 3))
-    backoff = float(options.get("backoff", 0.5))
     geocoder = None
     if options.get("geocoder_endpoint"):
         geocoder = GeocoderClient(
             options["geocoder_endpoint"],
             cache_path=_cache_path(options, "geocoder_cache.jsonl"),
-            max_retries=retries,
-            backoff_s=backoff,
+            max_retries=options["retries"],
+            backoff_s=options["backoff"],
         )
     try:
         chat = ChatClient(
             base_url=options.get("llm_base"),
             cache_path=_cache_path(options, "llm_cache.jsonl"),
-            max_retries=retries,
-            backoff_s=backoff,
+            max_retries=options["retries"],
+            backoff_s=options["backoff"],
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -199,12 +229,12 @@ def _cmd_run(options: dict) -> int:
         approach=approach,
         model=options["model"],
         recaller_model=options.get("recaller_model"),
-        few_shot=bool(options.get("few_shot", True)),
+        few_shot=options["few_shot"],
     )
     deps = RunDeps(chat=chat, store=store, geocoder=geocoder)
     try:
         predictions, report = run_experiment(
-            config, records, deps, parallelism=int(options.get("parallelism", 1))
+            config, records, deps, parallelism=options["parallelism"]
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -252,7 +282,7 @@ def _cmd_export_sft(options: dict) -> int:
     sample = options.get("sample")
     if sample is not None:
         try:
-            records = sample_train_subset(records, sample, seed=int(options.get("seed", 0)))
+            records = sample_train_subset(records, sample, seed=options["seed"])
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     stats = export_finetune_jsonl(records, options["approach"], options["out"])
@@ -302,10 +332,10 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        options = _merge_config(args)
+        options = _merge_config(args, commands[args.command])
         return _COMMANDS[args.command](options)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

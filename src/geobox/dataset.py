@@ -14,7 +14,15 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .geo import BoundingBox, GeoInfo, GeoPoint, format_bbox, geoinfo_from_obj, geoinfo_to_obj
+from .geo import (
+    BoundingBox,
+    GeoInfo,
+    GeoPoint,
+    bbox_from_obj,
+    format_bbox,
+    geoinfo_from_obj,
+    geoinfo_to_obj,
+)
 from .metrics import Prediction
 from .netutil import atomic_write_text
 from .prompts import PromptKind
@@ -89,13 +97,10 @@ def _mention_from_obj(obj: dict) -> Mention:
 
 def record_from_obj(obj: dict) -> LocationRecord:
     """Build a LocationRecord from one decoded JSONL object."""
-    bbox_vals = obj["gold_bbox"]
-    if not isinstance(bbox_vals, (list, tuple)) or len(bbox_vals) != 4:
-        raise ValueError("gold_bbox must be [lon_min, lat_min, lon_max, lat_max]")
     return LocationRecord(
         record_id=str(obj["id"]),
         description=str(obj["description"]),
-        gold_bbox=BoundingBox(*(float(v) for v in bbox_vals)),
+        gold_bbox=bbox_from_obj(obj["gold_bbox"]),
         mentions=tuple(_mention_from_obj(m) for m in obj.get("mentions", [])),
         gold_name=str(obj["gold_name"]) if obj.get("gold_name") is not None else None,
         gold_country=str(obj["gold_country"]) if obj.get("gold_country") is not None else None,
@@ -296,7 +301,7 @@ def prediction_to_obj(pred: Prediction) -> dict:
 
 
 def prediction_from_obj(obj: dict) -> Prediction:
-    bbox = BoundingBox(*(float(v) for v in obj["bbox"])) if obj.get("bbox") else None
+    bbox = bbox_from_obj(obj["bbox"]) if obj.get("bbox") else None
     point = None
     if obj.get("point"):
         lat, lon = obj["point"]

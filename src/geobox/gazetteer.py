@@ -19,10 +19,8 @@ import logging
 import os
 from typing import Iterable, Iterator
 
-import requests
-
 from .geo import BoundingBox, GeoInfo, GeoPoint, geoinfo_from_obj, geoinfo_to_obj
-from .netutil import JsonlCache, ProtocolError, RateLimiter, atomic_write_text, request_json
+from .netutil import ProtocolError, ServiceClient, atomic_write_text, request_json
 
 logger = logging.getLogger(__name__)
 
@@ -107,7 +105,7 @@ class GazetteerStore:
         atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
-class GeocoderClient:
+class GeocoderClient(ServiceClient):
     """Client for a geocoding HTTP service.
 
     The service contract: GET with an ``address`` query parameter (plus
@@ -116,36 +114,20 @@ class GeocoderClient:
     whose first element carries ``geometry.location`` (center) and
     optionally ``geometry.viewport`` (southwest/northeast corners).
 
-    Responses are cached by (endpoint, normalized query) in an
+    Raw replies are cached by (endpoint, normalized query) in an
     append-only JSONL file, so reruns are free and offline. Requests are
-    rate-limited and retried on 429/5xx with exponential backoff.
-    ``stats`` counts requests, retries, and cache hits.
+    paced at 10 per second unless ``rate_per_sec`` says otherwise, and
+    retried on 429/5xx with exponential backoff; ``options`` are those of
+    ``ServiceClient``. ``stats`` counts requests, retries, and cache hits.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key: str | None = None,
-        *,
-        rate_per_sec: float = 10.0,
-        timeout_s: float = 30.0,
-        max_retries: int = 3,
-        backoff_s: float = 0.5,
-        cache_path: str | os.PathLike | None = None,
-        session: requests.Session | None = None,
-    ) -> None:
+    TIMEOUT_S = 30.0
+
+    def __init__(self, endpoint: str, api_key: str | None = None, **options) -> None:
+        options.setdefault("rate_per_sec", 10.0)
         self._endpoint = endpoint
         self._api_key = api_key if api_key is not None else os.environ.get("GEOCODER_API_KEY")
-        self._limiter = RateLimiter(rate_per_sec)
-        self._timeout_s = timeout_s
-        self._max_retries = max_retries
-        self._backoff_s = backoff_s
-        self._cache = JsonlCache(cache_path)
-        self._session = session if session is not None else requests.Session()
-        self.stats: collections.Counter[str] = collections.Counter()
-
-    def _cache_key(self, query: str) -> str:
-        return json.dumps([self._endpoint, normalize_name(query)], separators=(",", ":"))
+        super().__init__(**options)
 
     def geocode(self, name: str) -> GeoInfo | None:
         """Resolve a location name to GeoInfo, or None when unknown.
@@ -157,30 +139,14 @@ class GeocoderClient:
             TransportError: endpoint unreachable or failing after retries.
             ProtocolError: response is not the shape described above.
         """
-        key = self._cache_key(name)
-        data = self._cache.get(key)
-        if data is not None:
-            self.stats["cache_hits"] += 1
-        else:
+        def send(session, **transport):
             params = {"address": name}
             if self._api_key:
                 params["key"] = self._api_key
-            data, retries = request_json(
-                self._session,
-                "GET",
-                self._endpoint,
-                params=params,
-                timeout=self._timeout_s,
-                max_retries=self._max_retries,
-                backoff_s=self._backoff_s,
-                limiter=self._limiter,
-            )
-            self.stats["requests"] += 1
-            self.stats["retries"] += retries
-            # Validate before caching; a malformed body must not poison reruns.
-            self._parse_response(name, data)
-            self._cache.put(key, data)
-        return self._parse_response(name, data)
+            return request_json(session, "GET", self._endpoint, params=params, **transport)
+
+        key = json.dumps([self._endpoint, normalize_name(name)], separators=(",", ":"))
+        return self._fetch(key, send, decode=lambda data: self._parse_response(name, data))
 
     def _parse_response(self, query: str, data) -> GeoInfo | None:
         try:

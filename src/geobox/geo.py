@@ -122,19 +122,20 @@ def geoinfo_to_obj(info: GeoInfo) -> dict:
     return obj
 
 
+def bbox_from_obj(vals) -> BoundingBox:
+    """Decode ``[lon_min, lat_min, lon_max, lat_max]``; raises ValueError on any other shape."""
+    if not isinstance(vals, (list, tuple)) or len(vals) != 4:
+        raise ValueError(f"bbox must be [lon_min, lat_min, lon_max, lat_max], got {vals!r}")
+    return BoundingBox(*(float(v) for v in vals))
+
+
 def geoinfo_from_obj(obj: dict) -> GeoInfo:
     """Decode the object ``geoinfo_to_obj`` writes; raises KeyError or ValueError."""
-    bbox = None
-    if obj.get("bbox") is not None:
-        vals = obj["bbox"]
-        if len(vals) != 4:
-            raise ValueError(f"bbox must have 4 values, got {len(vals)}")
-        bbox = BoundingBox(*(float(v) for v in vals))
     return GeoInfo(
         name=str(obj["name"]),
         center=GeoPoint(lat=float(obj["lat"]), lon=float(obj["lon"])),
         country=str(obj["country"]) if obj.get("country") is not None else None,
-        bbox=bbox,
+        bbox=bbox_from_obj(obj["bbox"]) if obj.get("bbox") is not None else None,
         source_id=str(obj["id"]) if obj.get("id") is not None else None,
     )
 

@@ -1,6 +1,6 @@
 """Shared plumbing for the HTTP clients: errors, caching, rate limiting.
 
-Both remote services (geocoder, chat completions) get the same treatment:
+Both remote services (geocoder, chat completions) subclass ``ServiceClient``:
 a persistent append-only JSONL cache keyed by request identity, a token
 rate limiter, and bounded retries with exponential backoff on transient
 failures. Kept service-agnostic so the two clients stay thin.
@@ -8,6 +8,7 @@ failures. Kept service-agnostic so the two clients stay thin.
 
 from __future__ import annotations
 
+import collections
 import json
 import logging
 import os
@@ -146,7 +147,6 @@ def request_json(
     max_retries: int = 3,
     backoff_s: float = 0.5,
     limiter: RateLimiter | None = None,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[Any, int]:
     """Issue an HTTP request, retrying transient failures, and decode JSON.
 
@@ -154,9 +154,6 @@ def request_json(
     backoff (backoff_s * 2**attempt). Other HTTP errors fail immediately
     as ProtocolError: resending an ill-formed request cannot help. The
     rate limiter, when given, gates every attempt including retries.
-
-    Args:
-        sleep: injection point so tests do not wait out real backoffs.
 
     Returns:
         (decoded JSON body, number of retries performed).
@@ -169,7 +166,7 @@ def request_json(
     last_failure = ""
     for attempt in range(max_retries + 1):
         if attempt > 0:
-            sleep(backoff_s * (2.0 ** (attempt - 1)))
+            time.sleep(backoff_s * (2.0 ** (attempt - 1)))
         if limiter is not None:
             limiter.acquire()
         try:
@@ -193,6 +190,76 @@ def request_json(
     raise TransportError(
         f"{url} still failing after {max_retries} retries (last: {last_failure})"
     )
+
+
+def _unchanged(value: Any) -> Any:
+    return value
+
+
+class ServiceClient:
+    """Cached, retried, optionally paced JSON-over-HTTP calls to one service.
+
+    Holds the HTTP session, the rate limiter (``rate_per_sec=None`` means
+    unpaced), the retry settings, the response cache and ``stats``: a
+    Counter of ``requests``, ``retries`` and ``cache_hits``, updated
+    under a lock since pool threads share one client. Subclasses set
+    ``TIMEOUT_S`` (per attempt) and pass their cache key, request and
+    decoder to ``_fetch``.
+    """
+
+    TIMEOUT_S: float
+
+    def __init__(
+        self,
+        *,
+        max_retries: int = 3,
+        backoff_s: float = 0.5,
+        rate_per_sec: float | None = None,
+        cache_path: str | os.PathLike | None = None,
+    ) -> None:
+        self._max_retries = max_retries
+        self._backoff_s = backoff_s
+        self._limiter = RateLimiter(rate_per_sec) if rate_per_sec is not None else None
+        self._cache = JsonlCache(cache_path)
+        self._session = requests.Session()
+        self._stats_lock = threading.Lock()
+        self.stats: collections.Counter[str] = collections.Counter()
+
+    def _fetch(
+        self,
+        key: str,
+        send: Callable[..., tuple[Any, int]],
+        *,
+        pick: Callable[[Any], Any] = _unchanged,
+        decode: Callable[[Any], Any] = _unchanged,
+    ) -> Any:
+        """Return ``decode(value)`` for the value cached under ``key``.
+
+        On a miss, ``send(session, timeout=, max_retries=, backoff_s=,
+        limiter=)`` makes the request and returns ``(reply, retries)``
+        like ``request_json``, and ``pick`` selects the value to cache
+        from the reply. Both ``pick`` and ``decode`` run before the
+        value is stored, so a malformed reply never poisons reruns.
+        """
+        cached = self._cache.get(key)
+        if cached is not None:
+            with self._stats_lock:
+                self.stats["cache_hits"] += 1
+            return decode(cached)
+        reply, retries = send(
+            self._session,
+            timeout=self.TIMEOUT_S,
+            max_retries=self._max_retries,
+            backoff_s=self._backoff_s,
+            limiter=self._limiter,
+        )
+        with self._stats_lock:
+            self.stats["requests"] += 1
+            self.stats["retries"] += retries
+        value = pick(reply)
+        result = decode(value)
+        self._cache.put(key, value)
+        return result
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:

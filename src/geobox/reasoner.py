@@ -8,7 +8,6 @@ free-form responses.
 
 from __future__ import annotations
 
-import collections
 import hashlib
 import json
 import os
@@ -16,10 +15,8 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-import requests
-
 from .geo import BoundingBox, GeoInfo, GeoPoint, format_coord
-from .netutil import EmptyResponseError, JsonlCache, ProtocolError, RateLimiter, request_json
+from .netutil import EmptyResponseError, ProtocolError, ServiceClient, request_json
 from .parsing import _NUM, parse_bbox, parse_point
 from .prompts import NAME_INPUT_KINDS, PromptKind, system_text
 
@@ -216,7 +213,7 @@ def extract_prediction(kind: PromptKind, text: str) -> Extraction:
     return Extraction(flags=("no_parse",))
 
 
-class ChatClient:
+class ChatClient(ServiceClient):
     """Client for a chat-completions HTTP endpoint.
 
     POSTs ``{model, messages, temperature, max_tokens}`` to
@@ -224,33 +221,19 @@ class ChatClient:
     ``choices[0].message.content``. Completions are cached by
     (model, system, user) hash in an append-only JSONL file, written
     before the content is returned, so an interrupted run never repays
-    for answers it already received.
+    for answers it already received. Unpaced unless ``rate_per_sec``
+    is given; other ``options`` are those of ``ServiceClient``.
     """
 
-    def __init__(
-        self,
-        base_url: str | None = None,
-        api_key: str | None = None,
-        *,
-        timeout_s: float = 120.0,
-        max_retries: int = 3,
-        backoff_s: float = 0.5,
-        rate_per_sec: float | None = None,
-        cache_path: str | os.PathLike | None = None,
-        session: requests.Session | None = None,
-    ) -> None:
+    TIMEOUT_S = 120.0
+
+    def __init__(self, base_url: str | None = None, api_key: str | None = None, **options) -> None:
         base = base_url if base_url is not None else os.environ.get("LLM_API_BASE")
         if not base:
             raise ValueError("no chat endpoint: pass base_url or set LLM_API_BASE")
         self._url = base.rstrip("/") + "/chat/completions"
         self._api_key = api_key if api_key is not None else os.environ.get("LLM_API_KEY")
-        self._timeout_s = timeout_s
-        self._max_retries = max_retries
-        self._backoff_s = backoff_s
-        self._limiter = RateLimiter(rate_per_sec) if rate_per_sec else None
-        self._cache = JsonlCache(cache_path)
-        self._session = session if session is not None else requests.Session()
-        self.stats: collections.Counter[str] = collections.Counter()
+        super().__init__(**options)
 
     def complete(self, request: ChatRequest) -> str:
         """Run one chat call, returning the completion text.
@@ -260,41 +243,32 @@ class ChatClient:
             ProtocolError: response body not in the expected shape.
             EmptyResponseError: the model returned no content.
         """
+        def send(session, **transport):
+            headers = {}
+            if self._api_key:
+                headers["Authorization"] = f"Bearer {self._api_key}"
+            body = {
+                "model": request.model,
+                "messages": [
+                    {"role": "system", "content": request.system},
+                    {"role": "user", "content": request.user},
+                ],
+                "temperature": request.temperature,
+                "max_tokens": request.max_tokens,
+            }
+            return request_json(
+                session, "POST", self._url, json_body=body, headers=headers, **transport
+            )
+
         key = cache_key(request.model, request.system, request.user)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.stats["cache_hits"] += 1
-            return cached
-        headers = {}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
-        body = {
-            "model": request.model,
-            "messages": [
-                {"role": "system", "content": request.system},
-                {"role": "user", "content": request.user},
-            ],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        }
-        data, retries = request_json(
-            self._session,
-            "POST",
-            self._url,
-            json_body=body,
-            headers=headers,
-            timeout=self._timeout_s,
-            max_retries=self._max_retries,
-            backoff_s=self._backoff_s,
-            limiter=self._limiter,
-        )
-        self.stats["requests"] += 1
-        self.stats["retries"] += retries
-        try:
-            content = data["choices"][0]["message"]["content"]
-        except (TypeError, KeyError, IndexError) as exc:
-            raise ProtocolError(f"malformed completion response: {str(data)[:200]}") from exc
-        if not isinstance(content, str) or not content.strip():
-            raise EmptyResponseError("completion arrived with no content")
-        self._cache.put(key, content)
-        return content
+        return self._fetch(key, send, pick=_completion_text)
+
+
+def _completion_text(data) -> str:
+    try:
+        content = data["choices"][0]["message"]["content"]
+    except (TypeError, KeyError, IndexError) as exc:
+        raise ProtocolError(f"malformed completion response: {str(data)[:200]}") from exc
+    if not isinstance(content, str) or not content.strip():
+        raise EmptyResponseError("completion arrived with no content")
+    return content

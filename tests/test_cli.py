@@ -199,6 +199,7 @@ def test_config_file_presets_flags(capsys, tmp_path, records, dataset_path, chat
         "predictions": str(tmp_path / "p1.jsonl"),
         "limit": 1,
         "format": "csv",
+        "sample": "all",  # not a run flag: a key for another subcommand passes through
     }
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps(config))
@@ -246,6 +247,25 @@ def test_unreadable_config_exits_1(tmp_path):
     bad.write_text("[1, 2]")
     assert main(["run", "--config", str(bad)]) == EXIT_USAGE
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "preset, problem",
+    [
+        ({"retries": "x"}, 'retries must be an integer, got "x"'),
+        ({"few_shot": "no"}, 'few_shot must be true or false, got "no"'),
+        ({"format": "yaml"}, 'format must be one of text, markdown, csv, got "yaml"'),
+        ({"limit": None}, "limit must be an integer, got null"),
+    ],
+    ids=["string-for-int", "string-for-switch", "not-a-choice", "null"],
+)
+def test_config_values_get_flag_checks(capsys, tmp_path, dataset_path, chat_stub, preset, problem):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(preset))
+    args = _run_args(dataset_path, chat_stub, tmp_path / "p.jsonl", "--config", str(config_path))
+    assert main(args) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: config {config_path}: {problem}\n"
+    assert chat_stub.core.request_count == 0
 
 
 def test_few_shot_flag_controls_prompt(tmp_path, records, dataset_path, chat_stub):

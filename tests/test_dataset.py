@@ -299,3 +299,21 @@ def test_read_predictions_rejects_bad_line(tmp_path):
     path.write_text('{"record_id": "a"}\nnot json\n', encoding="utf-8")
     with pytest.raises(DataError):
         read_predictions(path)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("bbox", [1, 2, 3, 4, 5]),
+        ("bbox", [1, 2, 3]),
+        ("bbox", "1,2,3,4"),
+        ("recalled", [["Oman", {"name": "Oman", "lat": 21.0, "lon": 57.0, "bbox": [52, 16]}]]),
+    ],
+)
+def test_read_predictions_names_the_bbox_shape(tmp_path, field, bad):
+    obj = {**prediction_to_obj(_predictions()[0]), field: bad}
+    path = tmp_path / "preds.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    shape = r"line 1: bbox must be \[lon_min, lat_min, lon_max, lat_max\]"
+    with pytest.raises(DataError, match=shape):
+        read_predictions(path)

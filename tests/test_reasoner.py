@@ -1,3 +1,7 @@
+import collections
+import concurrent.futures
+import time
+
 import pytest
 
 from fixtures import (
@@ -285,6 +289,12 @@ def test_no_endpoint_is_an_error(monkeypatch):
         ChatClient()
 
 
+def test_zero_rate_is_rejected_not_unpaced(chat_stub):
+    # rate_per_sec=None means unpaced; any other value must be positive
+    with pytest.raises(ValueError):
+        _client(chat_stub, rate_per_sec=0)
+
+
 def test_complete_memory_cache(chat_stub):
     chat_stub.script("Oman", "answer")
     client = _client(chat_stub)
@@ -292,6 +302,27 @@ def test_complete_memory_cache(chat_stub):
     assert client.complete(_request()) == "answer"
     assert chat_stub.core.request_count == 1
     assert client.stats["cache_hits"] == 1
+
+
+class _SlowCounter(collections.Counter):
+    """A Counter whose reads yield the processor, widening any read-modify-write race."""
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        time.sleep(0.0005)
+        return value
+
+
+def test_stats_count_every_hit_from_many_threads(chat_stub):
+    chat_stub.script("Oman", "answer")
+    client = _client(chat_stub)
+    client.complete(_request())
+    client.stats = _SlowCounter()
+    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+        results = list(pool.map(lambda _: client.complete(_request()), range(200), timeout=60))
+    assert results == ["answer"] * 200
+    assert client.stats["cache_hits"] == 200
+    assert chat_stub.core.request_count == 1
 
 
 def test_complete_cache_file_survives_restart(chat_stub, tmp_path):
