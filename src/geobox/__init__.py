@@ -52,7 +52,6 @@ from .prompts import PromptKind, system_text
 from .reasoner import (
     ChatClient,
     ChatRequest,
-    DegradedInputError,
     RecalledMention,
     build_prompt,
     extract_mentions,
@@ -70,7 +69,6 @@ __all__ = [
     "ChatClient",
     "ChatRequest",
     "DataError",
-    "DegradedInputError",
     "EmptyResponseError",
     "ErrorReport",
     "ExperimentConfig",

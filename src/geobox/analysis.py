@@ -102,15 +102,19 @@ def analyze_errors(
     compare per-record areal precision against recall.
 
     Counts are permutation-invariant; every prediction id must be in
-    ``golds``.
+    ``golds``, at most once.
 
     Raises:
-        ValueError: prediction id missing from golds.
+        ValueError: prediction id missing from golds, or duplicated.
     """
     report = ErrorReport()
+    seen: set[str] = set()
     for pred in predictions:
         if pred.record_id not in golds:
             raise ValueError(f"prediction for unknown record id {pred.record_id!r}")
+        if pred.record_id in seen:
+            raise ValueError(f"duplicate prediction for record id {pred.record_id!r}")
+        seen.add(pred.record_id)
         report.n_scored += 1
 
         if "invalid_order" in pred.flags or "invalid_range" in pred.flags:
@@ -118,9 +122,9 @@ def analyze_errors(
         if "invalid_range" in pred.flags:
             report.out_of_range_parse += 1
 
-        gold = golds[pred.record_id]
-        if pred.bbox is None or not isinstance(gold, BoundingBox):
+        if pred.bbox is None:
             continue
+        gold = golds[pred.record_id]
 
         if _is_sign_flip_suspect(pred.bbox, gold):
             report.sign_flip_suspects += 1

@@ -206,16 +206,19 @@ def _cmd_run(options: dict) -> int:
 
     store = None
     if options.get("gazetteer"):
-        store = GazetteerStore.load(options["gazetteer"])
+        try:
+            store = GazetteerStore.load(options["gazetteer"])
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read gazetteer {options['gazetteer']}: {exc}") from exc
     geocoder = None
-    if options.get("geocoder_endpoint"):
-        geocoder = GeocoderClient(
-            options["geocoder_endpoint"],
-            cache_path=_cache_path(options, "geocoder_cache.jsonl"),
-            max_retries=options["retries"],
-            backoff_s=options["backoff"],
-        )
     try:
+        if options.get("geocoder_endpoint"):
+            geocoder = GeocoderClient(
+                options["geocoder_endpoint"],
+                cache_path=_cache_path(options, "geocoder_cache.jsonl"),
+                max_retries=options["retries"],
+                backoff_s=options["backoff"],
+            )
         chat = ChatClient(
             base_url=options.get("llm_base"),
             cache_path=_cache_path(options, "llm_cache.jsonl"),

@@ -116,15 +116,16 @@ class GeocoderClient(ServiceClient):
 
     Raw replies are cached by (endpoint, normalized query) in an
     append-only JSONL file, so reruns are free and offline. Requests are
-    paced at 10 per second unless ``rate_per_sec`` says otherwise, and
+    paced at ``RATE_PER_SEC`` unless ``rate_per_sec`` says otherwise, and
     retried on 429/5xx with exponential backoff; ``options`` are those of
     ``ServiceClient``. ``stats`` counts requests, retries, and cache hits.
     """
 
     TIMEOUT_S = 30.0
+    RATE_PER_SEC = 10.0
 
     def __init__(self, endpoint: str, api_key: str | None = None, **options) -> None:
-        options.setdefault("rate_per_sec", 10.0)
+        options.setdefault("rate_per_sec", self.RATE_PER_SEC)
         self._endpoint = endpoint
         self._api_key = api_key if api_key is not None else os.environ.get("GEOCODER_API_KEY")
         super().__init__(**options)

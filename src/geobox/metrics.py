@@ -133,11 +133,10 @@ def harmonic_f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / total
 
 
-def distance_error_km(prediction: Prediction, gold: BoundingBox | GeoPoint) -> float:
+def distance_error_km(prediction: Prediction, gold: BoundingBox) -> float:
     """Great-circle distance between predicted and gold centers, in km.
 
-    Boxes are reduced to their centroids on both sides; a point
-    prediction or gold point is used as-is.
+    Boxes are reduced to their centroids; a point prediction is used as-is.
 
     Raises:
         ValueError: if the prediction is uncovered.
@@ -148,13 +147,12 @@ def distance_error_km(prediction: Prediction, gold: BoundingBox | GeoPoint) -> f
         pred_center = prediction.point
     else:
         raise ValueError("distance is undefined for an uncovered prediction")
-    gold_center = bbox_centroid(gold) if isinstance(gold, BoundingBox) else gold
-    return haversine_km(pred_center, gold_center)
+    return haversine_km(pred_center, bbox_centroid(gold))
 
 
 def aggregate(
     predictions: Iterable[Prediction],
-    golds: Mapping[str, BoundingBox | GeoPoint],
+    golds: Mapping[str, BoundingBox],
     label: str = "",
 ) -> MetricsReport:
     """Score a set of predictions against gold geometry.
@@ -163,15 +161,15 @@ def aggregate(
         predictions: at most one per record id; every id must be a key
             of ``golds``. Records in ``golds`` with no prediction count
             as uncovered.
-        golds: gold geometry per record id; the denominator of coverage.
+        golds: gold box per record id; the denominator of coverage.
         label: carried into the report verbatim (approach/model tag).
 
     Returns:
         MetricsReport. Coverage is 100 * covered / len(golds). Mean
         distance averages over covered predictions. Areal precision and
         recall are macro means of the per-record values over covered box
-        predictions whose gold is a box; F1 is the harmonic mean of the
-        two aggregate values, not the mean of per-record F1s.
+        predictions; F1 is the harmonic mean of the two aggregate
+        values, not the mean of per-record F1s.
 
     Raises:
         ValueError: on a prediction id missing from golds, or duplicated.
@@ -193,7 +191,7 @@ def aggregate(
         n_covered += 1
         gold = golds[pred.record_id]
         distances.append(distance_error_km(pred, gold))
-        if pred.bbox is not None and isinstance(gold, BoundingBox):
+        if pred.bbox is not None:
             precisions.append(area_precision(pred.bbox, gold))
             recalls.append(area_recall(pred.bbox, gold))
 

@@ -9,6 +9,7 @@ failures. Kept service-agnostic so the two clients stay thin.
 from __future__ import annotations
 
 import collections
+import contextlib
 import json
 import logging
 import os
@@ -108,14 +109,6 @@ class JsonlCache:
         if skipped:
             logger.warning("cache %s: %d corrupt line(s) ignored", self._path, skipped)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._data
-
     def get(self, key: str) -> Any | None:
         with self._lock:
             return self._data.get(key)
@@ -202,7 +195,8 @@ class ServiceClient:
     Holds the HTTP session, the rate limiter (``rate_per_sec=None`` means
     unpaced), the retry settings, the response cache and ``stats``: a
     Counter of ``requests``, ``retries`` and ``cache_hits``, updated
-    under a lock since pool threads share one client. Subclasses set
+    under a lock since pool threads share one client. A negative
+    ``max_retries`` or ``backoff_s`` raises ``ValueError``. Subclasses set
     ``TIMEOUT_S`` (per attempt) and pass their cache key, request and
     decoder to ``_fetch``.
     """
@@ -217,6 +211,10 @@ class ServiceClient:
         rate_per_sec: float | None = None,
         cache_path: str | os.PathLike | None = None,
     ) -> None:
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if backoff_s < 0:
+            raise ValueError("backoff_s must be >= 0")
         self._max_retries = max_retries
         self._backoff_s = backoff_s
         self._limiter = RateLimiter(rate_per_sec) if rate_per_sec is not None else None
@@ -263,13 +261,24 @@ class ServiceClient:
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write a file via a temp sibling + rename, so readers never see a torn file."""
+    """Write a file via a temp sibling + rename, so readers never see a torn file.
+
+    Each call writes its own uniquely named temp file, so concurrent
+    writers of one path never share one; the temp file is removed if the
+    write fails.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    # Not tempfile.mkstemp: its 0600 mode would outlive the rename.
+    tmp = f"{path}.tmp.{os.urandom(8).hex()}"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

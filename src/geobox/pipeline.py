@@ -45,11 +45,6 @@ class Approach(enum.Enum):
     END_TO_END = "end-to-end"
 
     @property
-    def output_kind(self) -> str:
-        """"point" or "box" — what geometry the approach predicts."""
-        return "point" if self is Approach.KNOWLEDGE_POINT else "box"
-
-    @property
     def required_deps(self) -> tuple[str, ...]:
         """Names of RunDeps fields this approach cannot run without."""
         if self is Approach.GEOAUG_ORACLE:
@@ -186,7 +181,6 @@ def run_record(config: ExperimentConfig, record: LocationRecord, deps: RunDeps) 
         country=record.gold_country,
         recalled=recalled,
         few_shot=config.few_shot,
-        allow_empty_mentions=True,
     )
     text = deps.chat.complete(request)
     extraction = extract_prediction(pipeline.prompt, text)

@@ -25,10 +25,6 @@ TEMPERATURE = 0.0
 MAX_TOKENS = 1024
 
 
-class DegradedInputError(ValueError):
-    """A prompt that needs recalled mentions was built with none."""
-
-
 @dataclass(frozen=True)
 class ChatRequest:
     """One fully rendered chat call: stable bytes in, cacheable text out."""
@@ -36,8 +32,6 @@ class ChatRequest:
     model: str
     system: str
     user: str
-    temperature: float = TEMPERATURE
-    max_tokens: int = MAX_TOKENS
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,6 @@ def build_prompt(
     country: str | None = None,
     recalled: Sequence[tuple[str, GeoInfo]] = (),
     few_shot: bool = True,
-    allow_empty_mentions: bool = False,
 ) -> ChatRequest:
     """Render a chat request for one record.
 
@@ -102,17 +95,12 @@ def build_prompt(
     description — followed by one recalled-mention sentence per entry
     for the geo-augmented kind, in order of first appearance of the name
     in the description (names not found keep their given order, after
-    the found ones).
-
-    Args:
-        allow_empty_mentions: a geo-augmented prompt with zero recalled
-            mentions is degraded; callers must opt in explicitly.
+    the found ones). A geo-augmented prompt with no mentions carries the
+    description alone; the pipeline flags such a record "degraded".
 
     Raises:
         ValueError: missing description/name for the kind, or recalled
             mentions passed to a kind that cannot carry them.
-        DegradedInputError: geo-augmented kind with zero mentions and
-            no explicit opt-in.
     """
     if recalled and kind is not PromptKind.GEO_AUGMENTED_BOX:
         raise ValueError(f"{kind.value} prompts cannot carry recalled mentions")
@@ -128,8 +116,6 @@ def build_prompt(
         raise ValueError(f"{kind.value} requires description")
 
     if kind is PromptKind.GEO_AUGMENTED_BOX:
-        if not recalled and not allow_empty_mentions:
-            raise DegradedInputError("geo-augmented prompt built with zero recalled mentions")
         ordered = _order_by_appearance(description, recalled)
         sentences = " ".join(
             mention_sentence(name, info.center.lon, info.center.lat) for name, info in ordered
@@ -253,8 +239,8 @@ class ChatClient(ServiceClient):
                     {"role": "system", "content": request.system},
                     {"role": "user", "content": request.user},
                 ],
-                "temperature": request.temperature,
-                "max_tokens": request.max_tokens,
+                "temperature": TEMPERATURE,
+                "max_tokens": MAX_TOKENS,
             }
             return request_json(
                 session, "POST", self._url, json_body=body, headers=headers, **transport

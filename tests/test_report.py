@@ -149,10 +149,3 @@ def test_error_report_markdown():
     out = render_error_report(_errors(), fmt="markdown")
     assert out.splitlines()[0] == "| Probe | Count |"
     assert "| Invalid parses | 2 |" in out
-
-
-def test_errors_append_after_blank_line():
-    out = render_report([("direct/m", _report())], errors=_errors(), fmt="text")
-    head, _, tail = out.partition("\n\n")
-    assert "AreaF1" in head
-    assert tail == render_error_report(_errors(), fmt="text")
