@@ -241,6 +241,10 @@ def _cmd_run(options: dict) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    finally:
+        for client in (chat, geocoder):
+            if client is not None:
+                client.close()
 
     write_predictions(predictions, options["predictions"])
     if options.get("report_out"):

@@ -139,28 +139,27 @@ def load_dataset(path: str | os.PathLike) -> tuple[list[LocationRecord], LoadRep
     report = LoadReport()
     seen_ids: set[str] = set()
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = record_from_obj(json.loads(line))
+                except (ValueError, KeyError, TypeError) as exc:
+                    report.skipped.append((line_no, str(exc)))
+                    logger.warning("dataset %s line %d skipped: %s", path, line_no, exc)
+                    continue
+                if record.record_id in seen_ids:
+                    report.skipped.append((line_no, f"duplicate id {record.record_id!r}"))
+                    logger.warning(
+                        "dataset %s line %d: duplicate id %r", path, line_no, record.record_id
+                    )
+                    continue
+                seen_ids.add(record.record_id)
+                records.append(record)
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = record_from_obj(json.loads(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                report.skipped.append((line_no, str(exc)))
-                logger.warning("dataset %s line %d skipped: %s", path, line_no, exc)
-                continue
-            if record.record_id in seen_ids:
-                report.skipped.append((line_no, f"duplicate id {record.record_id!r}"))
-                logger.warning(
-                    "dataset %s line %d: duplicate id %r", path, line_no, record.record_id
-                )
-                continue
-            seen_ids.add(record.record_id)
-            records.append(record)
     if not records:
         raise DataError(f"dataset {path} contains no valid records")
     report.n_loaded = len(records)
@@ -329,16 +328,15 @@ def write_predictions(predictions: Iterable[Prediction], path: str | os.PathLike
 def read_predictions(path: str | os.PathLike) -> list[Prediction]:
     predictions = []
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    predictions.append(prediction_from_obj(json.loads(line)))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise DataError(f"predictions {path} line {line_no}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read predictions {path}: {exc}") from exc
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                predictions.append(prediction_from_obj(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DataError(f"predictions {path} line {line_no}: {exc}") from exc
     return predictions

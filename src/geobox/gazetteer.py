@@ -140,11 +140,11 @@ class GeocoderClient(ServiceClient):
             TransportError: endpoint unreachable or failing after retries.
             ProtocolError: response is not the shape described above.
         """
-        def send(session, **transport):
+        def send(pool, **transport):
             params = {"address": name}
             if self._api_key:
                 params["key"] = self._api_key
-            return request_json(session, "GET", self._endpoint, params=params, **transport)
+            return request_json(pool, "GET", self._endpoint, params=params, **transport)
 
         key = json.dumps([self._endpoint, normalize_name(name)], separators=(",", ":"))
         return self._fetch(key, send, decode=lambda data: self._parse_response(name, data))

@@ -153,7 +153,14 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     # Rounding can push h a hair past 1 for antipodal points.
     h = min(1.0, max(0.0, h))
-    return 2.0 * EARTH_RADIUS_KM * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
+    if h <= 0.5:
+        rest = 1.0 - h
+    else:
+        # Near antipodes 1 - h cancels; this equal sum has no cancellation.
+        rest = math.sin((phi1 + phi2) / 2.0) ** 2 + (
+            math.cos(phi1) * math.cos(phi2) * math.cos(dlam / 2.0) ** 2
+        )
+    return 2.0 * EARTH_RADIUS_KM * math.atan2(math.sqrt(h), math.sqrt(rest))
 
 
 def bbox_centroid(box: BoundingBox) -> GeoPoint:

@@ -1,9 +1,12 @@
-"""Shared plumbing for the HTTP clients: errors, caching, rate limiting.
+"""Shared plumbing for the HTTP clients: errors, transport, caching, rate limiting.
 
 Both remote services (geocoder, chat completions) subclass ``ServiceClient``:
-a persistent append-only JSONL cache keyed by request identity, a token
-rate limiter, and bounded retries with exponential backoff on transient
-failures. Kept service-agnostic so the two clients stay thin.
+a pool of keep-alive connections, a persistent append-only JSONL cache
+keyed by request identity, a token rate limiter, and bounded retries with
+exponential backoff on transient failures. Kept service-agnostic so the
+two clients stay thin. The transport is the standard library's
+``http.client``, imported on the first request: it imports ``ssl``, which
+commands that send no request never need.
 """
 
 from __future__ import annotations
@@ -15,9 +18,12 @@ import logging
 import os
 import threading
 import time
-from typing import Any, Callable
+import urllib.parse
+from typing import TYPE_CHECKING, Any, Callable
 
-import requests
+if TYPE_CHECKING:
+    import http.client
+    import ssl
 
 logger = logging.getLogger(__name__)
 
@@ -110,8 +116,9 @@ class JsonlCache:
             logger.warning("cache %s: %d corrupt line(s) ignored", self._path, skipped)
 
     def get(self, key: str) -> Any | None:
-        with self._lock:
-            return self._data.get(key)
+        # No lock: a dict read is atomic, and ``put`` stores a value only
+        # once its line is durable, so a reader never waits on an fsync.
+        return self._data.get(key)
 
     def put(self, key: str, value: Any) -> None:
         with self._lock:
@@ -128,8 +135,92 @@ class JsonlCache:
             self._data[key] = value
 
 
+class ConnectionPool:
+    """Idle keep-alive HTTP(S) connections, shared by threads, keyed by scheme and host.
+
+    A request takes an idle connection or opens a new one, and gives it
+    back once the whole reply is read, unless the server said it will
+    close it. So the pool holds at most as many connections as there were
+    requests in flight at once. A reused connection the server has closed
+    meanwhile is replaced by a new one once, without counting as a failed
+    attempt. HTTPS verifies certificates and host names with
+    ``ssl.create_default_context()``. Redirects are returned, not followed.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: dict[tuple[str, str], list] = collections.defaultdict(list)
+        self._tls: ssl.SSLContext | None = None
+
+    def request(
+        self, method: str, url: str, body: bytes | None, headers: dict, timeout: float
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """Send one request; return the response (already read) and its body.
+
+        Raises ``OSError`` or ``http.client.HTTPException`` when the
+        exchange fails.
+        """
+        import http.client
+
+        parts = urllib.parse.urlsplit(url)
+        key = (parts.scheme, parts.netloc)
+        target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        with self._lock:
+            idle = self._idle[key]
+            conn = idle.pop() if idle else None
+        if conn is not None:
+            try:
+                return self._exchange(key, conn, method, target, body, headers, timeout)
+            except (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError):
+                pass  # closed by the server while idle: reopen below
+        conn = self._open(key, timeout)
+        return self._exchange(key, conn, method, target, body, headers, timeout)
+
+    def close(self) -> None:
+        """Close the idle connections. The pool stays usable."""
+        with self._lock:
+            idle = [conn for conns in self._idle.values() for conn in conns]
+            self._idle.clear()
+        for conn in idle:
+            conn.close()
+
+    def _open(self, key: tuple[str, str], timeout: float) -> http.client.HTTPConnection:
+        import http.client
+
+        scheme, netloc = key
+        if scheme == "http":
+            return http.client.HTTPConnection(netloc, timeout=timeout)
+        if scheme == "https":
+            if self._tls is None:
+                import ssl
+
+                self._tls = ssl.create_default_context()
+            return http.client.HTTPSConnection(netloc, timeout=timeout, context=self._tls)
+        raise http.client.InvalidURL(f"unsupported URL scheme {scheme!r}")
+
+    def _exchange(
+        self, key, conn, method, target, body, headers, timeout
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        try:
+            conn.request(method, target, body=body, headers=headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle[key].append(conn)
+        return resp, data
+
+
 def request_json(
-    session: requests.Session,
+    pool: ConnectionPool,
     method: str,
     url: str,
     *,
@@ -144,9 +235,10 @@ def request_json(
     """Issue an HTTP request, retrying transient failures, and decode JSON.
 
     Retries on connect/read errors, HTTP 429 and 5xx, with exponential
-    backoff (backoff_s * 2**attempt). Other HTTP errors fail immediately
-    as ProtocolError: resending an ill-formed request cannot help. The
-    rate limiter, when given, gates every attempt including retries.
+    backoff (backoff_s * 2**attempt). Other HTTP errors, redirects
+    included, fail immediately as ProtocolError: resending the same
+    request cannot help. The rate limiter, when given, gates every
+    attempt including retries.
 
     Returns:
         (decoded JSON body, number of retries performed).
@@ -154,8 +246,17 @@ def request_json(
     Raises:
         TransportError: network failure or retryable status after
             ``max_retries`` retries.
-        ProtocolError: non-retryable HTTP error or a non-JSON body.
+        ProtocolError: non-retryable HTTP status or a non-JSON body.
     """
+    import http.client
+
+    if params:
+        url += ("&" if "?" in url else "?") + urllib.parse.urlencode(params)
+    headers = {"User-Agent": "geobox", **(headers or {})}
+    body = None
+    if json_body is not None:
+        body = json.dumps(json_body, allow_nan=False).encode("utf-8")
+        headers["Content-Type"] = "application/json"
     last_failure = ""
     for attempt in range(max_retries + 1):
         if attempt > 0:
@@ -163,21 +264,25 @@ def request_json(
         if limiter is not None:
             limiter.acquire()
         try:
-            resp = session.request(
-                method, url, params=params, json=json_body, headers=headers, timeout=timeout
-            )
-        except requests.RequestException as exc:
+            resp, data = pool.request(method, url, body, headers, timeout)
+        except (OSError, http.client.HTTPException) as exc:
             last_failure = f"{type(exc).__name__}: {exc}"
             logger.warning("request to %s failed (%s), attempt %d", url, last_failure, attempt + 1)
             continue
-        if resp.status_code in RETRYABLE_STATUSES:
-            last_failure = f"HTTP {resp.status_code}"
+        if resp.status in RETRYABLE_STATUSES:
+            last_failure = f"HTTP {resp.status}"
             logger.warning("%s from %s, attempt %d", last_failure, url, attempt + 1)
             continue
-        if resp.status_code >= 400:
-            raise ProtocolError(f"HTTP {resp.status_code} from {url}: {resp.text[:200]}")
+        if 300 <= resp.status < 400:
+            raise ProtocolError(
+                f"HTTP {resp.status} from {url}: redirect to "
+                f"{resp.getheader('Location')!r} not followed"
+            )
+        if resp.status >= 400:
+            text = data.decode("utf-8", "replace")
+            raise ProtocolError(f"HTTP {resp.status} from {url}: {text[:200]}")
         try:
-            return resp.json(), attempt
+            return json.loads(data), attempt
         except ValueError as exc:
             raise ProtocolError(f"non-JSON response from {url}: {exc}") from exc
     raise TransportError(
@@ -192,7 +297,7 @@ def _unchanged(value: Any) -> Any:
 class ServiceClient:
     """Cached, retried, optionally paced JSON-over-HTTP calls to one service.
 
-    Holds the HTTP session, the rate limiter (``rate_per_sec=None`` means
+    Holds the connection pool, the rate limiter (``rate_per_sec=None`` means
     unpaced), the retry settings, the response cache and ``stats``: a
     Counter of ``requests``, ``retries`` and ``cache_hits``, updated
     under a lock since pool threads share one client. A negative
@@ -219,9 +324,13 @@ class ServiceClient:
         self._backoff_s = backoff_s
         self._limiter = RateLimiter(rate_per_sec) if rate_per_sec is not None else None
         self._cache = JsonlCache(cache_path)
-        self._session = requests.Session()
+        self._pool = ConnectionPool()
         self._stats_lock = threading.Lock()
         self.stats: collections.Counter[str] = collections.Counter()
+
+    def close(self) -> None:
+        """Close the client's idle connections."""
+        self._pool.close()
 
     def _fetch(
         self,
@@ -233,7 +342,7 @@ class ServiceClient:
     ) -> Any:
         """Return ``decode(value)`` for the value cached under ``key``.
 
-        On a miss, ``send(session, timeout=, max_retries=, backoff_s=,
+        On a miss, ``send(pool, timeout=, max_retries=, backoff_s=,
         limiter=)`` makes the request and returns ``(reply, retries)``
         like ``request_json``, and ``pick`` selects the value to cache
         from the reply. Both ``pick`` and ``decode`` run before the
@@ -245,7 +354,7 @@ class ServiceClient:
                 self.stats["cache_hits"] += 1
             return decode(cached)
         reply, retries = send(
-            self._session,
+            self._pool,
             timeout=self.TIMEOUT_S,
             max_retries=self._max_retries,
             backoff_s=self._backoff_s,

@@ -229,7 +229,7 @@ class ChatClient(ServiceClient):
             ProtocolError: response body not in the expected shape.
             EmptyResponseError: the model returned no content.
         """
-        def send(session, **transport):
+        def send(pool, **transport):
             headers = {}
             if self._api_key:
                 headers["Authorization"] = f"Bearer {self._api_key}"
@@ -243,7 +243,7 @@ class ChatClient(ServiceClient):
                 "max_tokens": MAX_TOKENS,
             }
             return request_json(
-                session, "POST", self._url, json_body=body, headers=headers, **transport
+                pool, "POST", self._url, json_body=body, headers=headers, **transport
             )
 
         key = cache_key(request.model, request.system, request.user)

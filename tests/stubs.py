@@ -4,12 +4,16 @@ Both stubs run a real ThreadingHTTPServer on an ephemeral localhost
 port, so the clients are exercised through genuine sockets, retries and
 all. Behavior is scripted per test: canned payloads, failure-status
 sequences, malformed bodies. Every accepted request is logged with a
-monotonic timestamp for rate-limit assertions.
+monotonic timestamp for rate-limit assertions, and every accepted
+connection is counted. The server closes each connection after one
+reply unless the stub is made with ``keep_alive=True``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -21,6 +25,7 @@ class _StubCore:
 
     def __init__(self) -> None:
         self.requests: list[dict] = []
+        self.connections = 0
         self.fail_queue: list[int] = []
         self.malformed_next = 0
         self._lock = threading.Lock()
@@ -57,6 +62,10 @@ class _StubCore:
         with self._lock:
             self.requests.append(entry)
 
+    def log_connection(self) -> None:
+        with self._lock:
+            self.connections += 1
+
     @property
     def request_count(self) -> int:
         with self._lock:
@@ -65,6 +74,10 @@ class _StubCore:
     # -- lifecycle --
 
     def start(self, handler_cls) -> str:
+        # Arrival times are taken in the test process, whose collector can
+        # pause every thread for tens of milliseconds. Collecting now keeps
+        # such a pause out of the requests this stub is about to time.
+        gc.collect()
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), handler_cls)
         self._server.stub = self  # type: ignore[attr-defined]
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
@@ -81,6 +94,13 @@ class _StubCore:
 
 
 class _SilentHandler(BaseHTTPRequestHandler):
+    def setup(self) -> None:
+        super().setup()
+        # Headers and body go out in separate writes; without this, Nagle
+        # holds the body back for the client's delayed ACK.
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.server.stub.log_connection()  # type: ignore[attr-defined]
+
     def log_message(self, fmt, *args):  # noqa: D102 - silence default stderr noise
         pass
 
@@ -108,9 +128,12 @@ class ChatStub:
     wins. ``default`` answers anything unmatched.
     """
 
-    def __init__(self, default: str = "I have no answer for that.") -> None:
+    def __init__(
+        self, default: str = "I have no answer for that.", keep_alive: bool = False
+    ) -> None:
         self.core = _StubCore()
         self.default = default
+        self.keep_alive = keep_alive
         self._rules: list[tuple[str, str]] = []
         self.base_url: str = ""
 
@@ -127,6 +150,8 @@ class ChatStub:
         stub = self
 
         class Handler(_SilentHandler):
+            protocol_version = "HTTP/1.1" if stub.keep_alive else "HTTP/1.0"
+
             def do_POST(self) -> None:
                 length = int(self.headers.get("Content-Length", "0"))
                 raw = self.rfile.read(length)

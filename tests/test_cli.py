@@ -176,6 +176,21 @@ def test_unreadable_gazetteer_exits_2(capsys, tmp_path, dataset_path, chat_stub,
     assert chat_stub.core.request_count == 0
 
 
+@pytest.mark.parametrize("flag", ["--dataset", "--predictions"])
+def test_non_utf8_input_exits_2(capsys, tmp_path, dataset_path, chat_stub, flag):
+    binary = tmp_path / "binary.jsonl"
+    binary.write_bytes(b"\xff\xfe not utf-8\n")
+    if flag == "--dataset":
+        argv = _run_args(str(binary), chat_stub, tmp_path / "p.jsonl")
+        what = "dataset"
+    else:
+        argv = ["eval", "--predictions", str(binary), "--dataset", dataset_path]
+        what = "predictions"
+    assert main(argv) == EXIT_DATA
+    assert f"data error: cannot read {what} {binary}: " in capsys.readouterr().err
+    assert chat_stub.core.request_count == 0
+
+
 def test_limit_truncates_run(tmp_path, records, dataset_path, chat_stub):
     _echo(chat_stub, records)
     preds_path = tmp_path / "preds.jsonl"

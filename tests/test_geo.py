@@ -42,6 +42,13 @@ def test_antipodal_distance():
     )
 
 
+def test_near_antipodal_distances_add_up_along_the_equator():
+    a = GeoPoint(lat=0.0, lon=180.0)
+    b = GeoPoint(lat=0.0, lon=-1.0)
+    c = GeoPoint(lat=0.0, lon=-1e-05)
+    assert haversine_km(a, c) == pytest.approx(haversine_km(a, b) + haversine_km(b, c), abs=1e-6)
+
+
 def test_one_degree_at_equator():
     assert haversine_km(GeoPoint(0, 0), GeoPoint(0, 1)) == pytest.approx(111.195, abs=0.001)
 

@@ -1,9 +1,12 @@
 import os
+import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
+import geobox
 from geobox.netutil import JsonlCache, ServiceClient, atomic_write_text
 
 
@@ -61,3 +64,55 @@ def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
 def test_negative_retry_settings_are_rejected(setting):
     with pytest.raises(ValueError):
         ServiceClient(**setting)
+
+
+def test_gets_during_concurrent_puts_lose_no_key(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = JsonlCache(path)
+    writers_done = threading.Event()
+    failures = []
+
+    def write(n):
+        for i in range(25):
+            cache.put(f"{n}-{i}", [n, i])
+
+    def read():
+        try:
+            while not writers_done.is_set():
+                for i in range(25):
+                    assert cache.get(f"0-{i}") in (None, [0, i])
+                time.sleep(0.001)  # let the writers have the interpreter lock
+        except AssertionError as exc:
+            failures.append(exc)
+
+    readers = [threading.Thread(target=read) for _ in range(2)]
+    writers = [threading.Thread(target=write, args=(n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in readers + writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=120)
+    finally:
+        writers_done.set()
+        sys.setswitchinterval(interval)
+    for thread in readers:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in readers + writers)
+    assert failures == []
+    reloaded = JsonlCache(path)
+    assert all(reloaded.get(f"{n}-{i}") == [n, i] for n in range(8) for i in range(25))
+
+
+def test_importing_the_cli_loads_no_http_or_tls_stack():
+    code = (
+        "import sys; before = set(sys.modules); import geobox.cli; "
+        "print(sorted({'requests', 'urllib3', 'ssl'} & (set(sys.modules) - before)))"
+    )
+    src = os.path.dirname(os.path.dirname(geobox.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
