@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
 from .geo import BoundingBox, GeoPoint, bbox_intersection
-from .metrics import Prediction, area_precision, area_recall
+from .metrics import Prediction, checked_predictions, score_pair
 
 # Edge tolerance for coordinate-copy detection. Tight enough that only a
 # copied (or barely nudged) value matches; the loose pass catches the
@@ -66,15 +66,6 @@ def sign_flip_variants(box: BoundingBox) -> tuple[BoundingBox, BoundingBox, Boun
     return (lons, lats, both)
 
 
-def _is_sign_flip_suspect(pred_box: BoundingBox, gold_box: BoundingBox) -> bool:
-    if bbox_intersection(pred_box, gold_box) is not None:
-        return False
-    return any(
-        bbox_intersection(variant, gold_box) is not None
-        for variant in sign_flip_variants(pred_box)
-    )
-
-
 def _copied_edges(pred_box: BoundingBox, centers: list[GeoPoint], eps: float) -> int:
     lons = [c.lon for c in centers]
     lats = [c.lat for c in centers]
@@ -108,13 +99,7 @@ def analyze_errors(
         ValueError: prediction id missing from golds, or duplicated.
     """
     report = ErrorReport()
-    seen: set[str] = set()
-    for pred in predictions:
-        if pred.record_id not in golds:
-            raise ValueError(f"prediction for unknown record id {pred.record_id!r}")
-        if pred.record_id in seen:
-            raise ValueError(f"duplicate prediction for record id {pred.record_id!r}")
-        seen.add(pred.record_id)
+    for pred in checked_predictions(predictions, golds):
         report.n_scored += 1
 
         if "invalid_order" in pred.flags or "invalid_range" in pred.flags:
@@ -125,8 +110,12 @@ def analyze_errors(
         if pred.bbox is None:
             continue
         gold = golds[pred.record_id]
+        precision, recall, overlaps = score_pair(pred.bbox, gold)
 
-        if _is_sign_flip_suspect(pred.bbox, gold):
+        if not overlaps and any(
+            bbox_intersection(variant, gold) is not None
+            for variant in sign_flip_variants(pred.bbox)
+        ):
             report.sign_flip_suspects += 1
 
         if pred.recalled:
@@ -136,8 +125,6 @@ def analyze_errors(
             if _copied_edges(pred.bbox, centers, COPY_EPS_LOOSE_DEG) >= 3:
                 report.coord_copy_suspects_loose += 1
 
-        precision = area_precision(pred.bbox, gold)
-        recall = area_recall(pred.bbox, gold)
         if precision > recall:
             report.precision_gt_recall += 1
         elif recall > precision:

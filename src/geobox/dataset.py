@@ -35,7 +35,7 @@ class DataError(RuntimeError):
     """The input data is unusable (not a transient or protocol problem)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mention:
     """A location named inside a description, with optional gold geography."""
 
@@ -47,7 +47,7 @@ class Mention:
             raise ValueError("mention name must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocationRecord:
     """One dataset example.
 

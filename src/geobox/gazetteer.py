@@ -20,7 +20,13 @@ import os
 from typing import Iterable, Iterator
 
 from .geo import BoundingBox, GeoInfo, GeoPoint, geoinfo_from_obj, geoinfo_to_obj
-from .netutil import ProtocolError, ServiceClient, atomic_write_text, request_json
+from .netutil import (
+    ProtocolError,
+    ServiceClient,
+    atomic_write_text,
+    check_http_url,
+    request_json,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -125,6 +131,7 @@ class GeocoderClient(ServiceClient):
     RATE_PER_SEC = 10.0
 
     def __init__(self, endpoint: str, api_key: str | None = None, **options) -> None:
+        check_http_url(endpoint, "geocoder endpoint")
         options.setdefault("rate_per_sec", self.RATE_PER_SEC)
         self._endpoint = endpoint
         self._api_key = api_key if api_key is not None else os.environ.get("GEOCODER_API_KEY")

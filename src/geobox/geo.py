@@ -25,7 +25,7 @@ def _check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A point on the sphere: latitude and longitude in decimal degrees.
 
@@ -38,6 +38,9 @@ class GeoPoint:
     lon: float
 
     def __post_init__(self) -> None:
+        # NaN and +-inf fail these comparisons, so only valid points skip the checks below.
+        if -90.0 <= self.lat <= 90.0 and -180.0 <= self.lon <= 180.0:
+            return
         _check_finite("lat", self.lat)
         _check_finite("lon", self.lon)
         if not -90.0 <= self.lat <= 90.0:
@@ -46,7 +49,7 @@ class GeoPoint:
             raise ValueError(f"longitude out of range [-180, 180]: {self.lon!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """An axis-aligned box: (lon_min, lat_min, lon_max, lat_max) in degrees.
 
@@ -65,6 +68,12 @@ class BoundingBox:
     lat_max: float
 
     def __post_init__(self) -> None:
+        # NaN and +-inf fail these comparisons, so only valid boxes skip the checks below.
+        if (
+            -180.0 <= self.lon_min <= self.lon_max <= 180.0
+            and -90.0 <= self.lat_min <= self.lat_max <= 90.0
+        ):
+            return
         for name in ("lon_min", "lat_min", "lon_max", "lat_max"):
             _check_finite(name, getattr(self, name))
         if not (-180.0 <= self.lon_min <= 180.0 and -180.0 <= self.lon_max <= 180.0):
@@ -94,7 +103,7 @@ class BoundingBox:
         return (self.lon_min, self.lat_min, self.lon_max, self.lat_max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoInfo:
     """What a recaller knows about one named location.
 
@@ -126,7 +135,8 @@ def bbox_from_obj(vals) -> BoundingBox:
     """Decode ``[lon_min, lat_min, lon_max, lat_max]``; raises ValueError on any other shape."""
     if not isinstance(vals, (list, tuple)) or len(vals) != 4:
         raise ValueError(f"bbox must be [lon_min, lat_min, lon_max, lat_max], got {vals!r}")
-    return BoundingBox(*(float(v) for v in vals))
+    lon_min, lat_min, lon_max, lat_max = vals
+    return BoundingBox(float(lon_min), float(lat_min), float(lon_max), float(lat_max))
 
 
 def geoinfo_from_obj(obj: dict) -> GeoInfo:

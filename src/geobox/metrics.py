@@ -14,7 +14,7 @@ Three measurements, all defined on the sphere:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .geo import (
     BoundingBox,
@@ -27,7 +27,7 @@ from .geo import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     """One system output for one record.
 
@@ -93,34 +93,40 @@ def _opt_float(v) -> float | None:
     return None if v is None else float(v)
 
 
-def area_precision(pred: BoundingBox, gold: BoundingBox) -> float:
-    """Fraction of the predicted box's area that overlaps the gold box.
+def score_pair(pred: BoundingBox, gold: BoundingBox) -> tuple[float, float, bool]:
+    """Areal ``(precision, recall, overlaps)`` of a predicted box against a gold box.
 
-    A degenerate prediction (zero area) has precision 0: it asserts
-    nothing about area, so none of it is correct.
+    Precision is the fraction of the predicted box's area that overlaps
+    the gold box. A degenerate prediction (zero area) has precision 0:
+    it asserts nothing about area, so none of it is correct.
+
+    Recall is the fraction of the gold box's area captured by the
+    prediction. A degenerate gold box (zero area) cannot be ratioed;
+    recall is 1.0 when the prediction contains the gold centroid, else 0.0.
+
+    ``overlaps`` is whether ``bbox_intersection`` finds an overlap, so
+    touching edges or corners do not overlap.
     """
-    pred_area = bbox_area_km2(pred)
-    if pred_area <= 0.0:
-        return 0.0
     overlap = bbox_intersection(pred, gold)
-    if overlap is None:
-        return 0.0
-    return bbox_area_km2(overlap) / pred_area
+    shared = bbox_area_km2(overlap) if overlap is not None else 0.0
+    pred_area = bbox_area_km2(pred)
+    gold_area = bbox_area_km2(gold)
+    precision = shared / pred_area if pred_area > 0.0 else 0.0
+    if gold_area > 0.0:
+        recall = shared / gold_area
+    else:
+        recall = 1.0 if pred.contains(bbox_centroid(gold)) else 0.0
+    return precision, recall, overlap is not None
+
+
+def area_precision(pred: BoundingBox, gold: BoundingBox) -> float:
+    """Fraction of the predicted box's area that overlaps the gold box (see ``score_pair``)."""
+    return score_pair(pred, gold)[0]
 
 
 def area_recall(pred: BoundingBox, gold: BoundingBox) -> float:
-    """Fraction of the gold box's area captured by the prediction.
-
-    A degenerate gold box (zero area) cannot be ratioed; recall is 1.0
-    when the prediction contains the gold centroid, else 0.0.
-    """
-    gold_area = bbox_area_km2(gold)
-    if gold_area <= 0.0:
-        return 1.0 if pred.contains(bbox_centroid(gold)) else 0.0
-    overlap = bbox_intersection(pred, gold)
-    if overlap is None:
-        return 0.0
-    return bbox_area_km2(overlap) / gold_area
+    """Fraction of the gold box's area captured by the prediction (see ``score_pair``)."""
+    return score_pair(pred, gold)[1]
 
 
 def harmonic_f1(precision: float, recall: float) -> float:
@@ -150,6 +156,24 @@ def distance_error_km(prediction: Prediction, gold: BoundingBox) -> float:
     return haversine_km(pred_center, bbox_centroid(gold))
 
 
+def checked_predictions(
+    predictions: Iterable[Prediction], golds: Mapping[str, BoundingBox]
+) -> Iterator[Prediction]:
+    """Yield each prediction after checking that its id is in ``golds`` and not repeated.
+
+    Raises:
+        ValueError: on a prediction id missing from golds, or duplicated.
+    """
+    seen: set[str] = set()
+    for pred in predictions:
+        if pred.record_id not in golds:
+            raise ValueError(f"prediction for unknown record id {pred.record_id!r}")
+        if pred.record_id in seen:
+            raise ValueError(f"duplicate prediction for record id {pred.record_id!r}")
+        seen.add(pred.record_id)
+        yield pred
+
+
 def aggregate(
     predictions: Iterable[Prediction],
     golds: Mapping[str, BoundingBox],
@@ -175,25 +199,20 @@ def aggregate(
         ValueError: on a prediction id missing from golds, or duplicated.
     """
     n_total = len(golds)
-    seen: set[str] = set()
     n_covered = 0
     distances: list[float] = []
     precisions: list[float] = []
     recalls: list[float] = []
-    for pred in predictions:
-        if pred.record_id not in golds:
-            raise ValueError(f"prediction for unknown record id {pred.record_id!r}")
-        if pred.record_id in seen:
-            raise ValueError(f"duplicate prediction for record id {pred.record_id!r}")
-        seen.add(pred.record_id)
+    for pred in checked_predictions(predictions, golds):
         if not pred.covered:
             continue
         n_covered += 1
         gold = golds[pred.record_id]
         distances.append(distance_error_km(pred, gold))
         if pred.bbox is not None:
-            precisions.append(area_precision(pred.bbox, gold))
-            recalls.append(area_recall(pred.bbox, gold))
+            precision, recall, _ = score_pair(pred.bbox, gold)
+            precisions.append(precision)
+            recalls.append(recall)
 
     coverage_pct = 100.0 * n_covered / n_total if n_total else 0.0
     mean_distance = sum(distances) / len(distances) if distances else None

@@ -219,6 +219,13 @@ class ConnectionPool:
         return resp, data
 
 
+def check_http_url(url: str, what: str) -> None:
+    """Raise ValueError unless ``url`` is an ``http``/``https`` URL with a host."""
+    parts = urllib.parse.urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"{what} must be an http:// or https:// URL with a host, got {url!r}")
+
+
 def request_json(
     pool: ConnectionPool,
     method: str,

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geo import BoundingBox, GeoInfo, GeoPoint, format_coord
-from .netutil import EmptyResponseError, ProtocolError, ServiceClient, request_json
+from .netutil import (
+    EmptyResponseError,
+    ProtocolError,
+    ServiceClient,
+    check_http_url,
+    request_json,
+)
 from .parsing import _NUM, parse_bbox, parse_point
 from .prompts import NAME_INPUT_KINDS, PromptKind, system_text
 
@@ -217,6 +223,7 @@ class ChatClient(ServiceClient):
         base = base_url if base_url is not None else os.environ.get("LLM_API_BASE")
         if not base:
             raise ValueError("no chat endpoint: pass base_url or set LLM_API_BASE")
+        check_http_url(base, "chat endpoint")
         self._url = base.rstrip("/") + "/chat/completions"
         self._api_key = api_key if api_key is not None else os.environ.get("LLM_API_KEY")
         super().__init__(**options)

@@ -164,6 +164,16 @@ def test_negative_retry_settings_exit_1(capsys, tmp_path, dataset_path, chat_stu
     assert not preds.exists()
 
 
+@pytest.mark.parametrize("flag", ["--llm-base", "--geocoder-endpoint"])
+def test_url_without_scheme_exits_1(capsys, tmp_path, dataset_path, chat_stub, flag):
+    preds = tmp_path / "p.jsonl"
+    bad = chat_stub.base_url.removeprefix("http://")
+    assert main(_run_args(dataset_path, chat_stub, preds, flag, bad)) == EXIT_USAGE
+    assert f"must be an http:// or https:// URL with a host, got {bad!r}" in capsys.readouterr().err
+    assert chat_stub.core.request_count == 0
+    assert not preds.exists()
+
+
 @pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8\n"], ids=["missing", "binary"])
 def test_unreadable_gazetteer_exits_2(capsys, tmp_path, dataset_path, chat_stub, content):
     gazetteer = tmp_path / "gazetteer.jsonl"

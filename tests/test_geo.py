@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,11 @@ from hypothesis import strategies as st
 from geobox import (
     EARTH_RADIUS_KM,
     BoundingBox,
+    GeoInfo,
     GeoPoint,
+    LocationRecord,
+    Mention,
+    Prediction,
     bbox_area_km2,
     bbox_centroid,
     bbox_intersection,
@@ -122,6 +127,90 @@ def test_box_range_rejected():
         BoundingBox(0, 0, 10, 95)
     with pytest.raises(ValueError):
         BoundingBox(0, float("nan"), 10, 10)
+
+
+_NAN = float("nan")
+_INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((_NAN, 0.0, 1.0, 1.0), "lon_min must be finite, got nan"),
+        ((0.0, _NAN, 1.0, 1.0), "lat_min must be finite, got nan"),
+        ((0.0, 0.0, _NAN, 1.0), "lon_max must be finite, got nan"),
+        ((0.0, 0.0, 1.0, _NAN), "lat_max must be finite, got nan"),
+        ((-_INF, 0.0, 1.0, 1.0), "lon_min must be finite, got -inf"),
+        ((0.0, -_INF, 1.0, 1.0), "lat_min must be finite, got -inf"),
+        ((0.0, 0.0, _INF, 1.0), "lon_max must be finite, got inf"),
+        ((0.0, 0.0, 1.0, _INF), "lat_max must be finite, got inf"),
+        # a non-finite value is reported before an out-of-range one
+        ((-190.0, 0.0, 1.0, _NAN), "lat_max must be finite, got nan"),
+        ((-180.5, 0.0, 1.0, 1.0), "longitude out of range [-180, 180]: (-180.5, 1.0)"),
+        ((181.0, 0.0, 182.0, 1.0), "longitude out of range [-180, 180]: (181.0, 182.0)"),
+        ((0.0, 0.0, 180.5, 1.0), "longitude out of range [-180, 180]: (0.0, 180.5)"),
+        ((0.0, -90.5, 1.0, 1.0), "latitude out of range [-90, 90]: (-90.5, 1.0)"),
+        ((0.0, -95.0, 1.0, -91.0), "latitude out of range [-90, 90]: (-95.0, -91.0)"),
+        ((0.0, 0.0, 1.0, 90.5), "latitude out of range [-90, 90]: (0.0, 90.5)"),
+        # range is checked before order
+        ((2.0, 0.0, 1.0, 95.0), "latitude out of range [-90, 90]: (0.0, 95.0)"),
+        (
+            (2.0, 0.0, 1.0, 1.0),
+            "lon_min > lon_max (2.0 > 1.0); antimeridian-wrapping boxes are not representable",
+        ),
+        ((0.0, 2.0, 1.0, 1.0), "lat_min > lat_max (2.0 > 1.0)"),
+    ],
+)
+def test_box_rejection_messages(args, message):
+    with pytest.raises(ValueError) as info:
+        BoundingBox(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "lat,lon,message",
+    [
+        (_NAN, 0.0, "lat must be finite, got nan"),
+        (0.0, _NAN, "lon must be finite, got nan"),
+        (_INF, 0.0, "lat must be finite, got inf"),
+        (0.0, -_INF, "lon must be finite, got -inf"),
+        (95.0, _INF, "lon must be finite, got inf"),
+        (90.5, 0.0, "latitude out of range [-90, 90]: 90.5"),
+        (-90.5, 0.0, "latitude out of range [-90, 90]: -90.5"),
+        (95.0, 190.0, "latitude out of range [-90, 90]: 95.0"),
+        (0.0, 180.5, "longitude out of range [-180, 180]: 180.5"),
+        (0.0, -180.5, "longitude out of range [-180, 180]: -180.5"),
+    ],
+)
+def test_point_rejection_messages(lat, lon, message):
+    with pytest.raises(ValueError) as info:
+        GeoPoint(lat, lon)
+    assert str(info.value) == message
+
+
+def _value_instances():
+    box = BoundingBox(0.0, 0.0, 1.0, 1.0)
+    info = GeoInfo(name="Oman", center=GeoPoint(0.5, 0.5))
+    return [
+        GeoPoint(0.0, 0.0),
+        box,
+        info,
+        Prediction(record_id="r1", approach="direct", bbox=box),
+        Mention(name="Oman", gold=info),
+        LocationRecord(record_id="r1", description="Near Oman", gold_bbox=box),
+    ]
+
+
+@pytest.mark.parametrize("value", _value_instances(), ids=lambda v: type(v).__name__)
+def test_slotted_value_types_stay_frozen(value):
+    assert not hasattr(value, "__dict__")
+    field = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
+    # Python 3.11's dataclasses raise TypeError here for a slotted class:
+    # its __setattr__ calls super() with the class from before slots were added.
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        value.unknown_attribute = 1
 
 
 def test_degenerate_box_allowed():

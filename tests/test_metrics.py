@@ -5,19 +5,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import geobox.analysis
+import geobox.metrics
 from geobox import (
     BoundingBox,
     GeoPoint,
     MetricsReport,
     Prediction,
     aggregate,
+    analyze_errors,
     area_precision,
     area_recall,
+    bbox_area_km2,
     bbox_centroid,
+    bbox_intersection,
     distance_error_km,
     harmonic_f1,
     haversine_km,
 )
+from geobox.metrics import score_pair
 from mc_oracle import mc_overlap_fractions, random_box_pair
 
 # --- per-pair area metrics ---------------------------------------------------
@@ -106,6 +112,82 @@ def test_precision_recall_duality(a, b):
 def test_scores_are_fractions(a, b):
     for v in (area_precision(a, b), area_recall(a, b)):
         assert 0.0 <= v <= 1.0 + 1e-12
+
+
+@st.composite
+def _any_box(draw):
+    lon_a, lon_b = sorted((draw(_lon), draw(_lon)))
+    lat_a, lat_b = sorted((draw(_lat), draw(_lat)))
+    return BoundingBox(lon_a, lat_a, lon_b, lat_b)
+
+
+_box = st.one_of(_solid_box(), _any_box())
+
+
+def _reference_precision(pred, gold):
+    pred_area = bbox_area_km2(pred)
+    if pred_area <= 0.0:
+        return 0.0
+    overlap = bbox_intersection(pred, gold)
+    if overlap is None:
+        return 0.0
+    return bbox_area_km2(overlap) / pred_area
+
+
+def _reference_recall(pred, gold):
+    gold_area = bbox_area_km2(gold)
+    if gold_area <= 0.0:
+        return 1.0 if pred.contains(bbox_centroid(gold)) else 0.0
+    overlap = bbox_intersection(pred, gold)
+    if overlap is None:
+        return 0.0
+    return bbox_area_km2(overlap) / gold_area
+
+
+@given(_box, _box)
+def test_score_pair_matches_reference_formulas(pred, gold):
+    # the per-pair formulas written out separately, as the reference for score_pair
+    precision, recall, overlaps = score_pair(pred, gold)
+    assert (precision, recall) == (_reference_precision(pred, gold), _reference_recall(pred, gold))
+    assert overlaps == (bbox_intersection(pred, gold) is not None)
+
+
+@given(_solid_box(), _solid_box())
+def test_score_pair_precision_is_reversed_recall(a, b):
+    assert score_pair(a, b)[0] == score_pair(b, a)[1]
+
+
+def test_scoring_intersects_each_pair_once(monkeypatch):
+    calls = []
+
+    def counting_intersection(a, b):
+        calls.append((a, b))
+        return bbox_intersection(a, b)
+
+    monkeypatch.setattr(geobox.metrics, "bbox_intersection", counting_intersection)
+    monkeypatch.setattr(geobox.analysis, "bbox_intersection", counting_intersection)
+    golds = {
+        "hit": BoundingBox(0, 0, 10, 10),
+        "flip": BoundingBox(20, 20, 30, 30),
+        "miss": BoundingBox(40, 40, 50, 50),
+        "point": BoundingBox(0, 0, 10, 10),
+        "none": BoundingBox(0, 0, 10, 10),
+    }
+    preds = [
+        Prediction(record_id="hit", approach="direct", bbox=BoundingBox(5, 5, 15, 15)),
+        # the first sign-flip variant (longitudes negated) overlaps gold
+        Prediction(record_id="flip", approach="direct", bbox=BoundingBox(-30, 20, -20, 30)),
+        # no variant overlaps, so all three are tried
+        Prediction(record_id="miss", approach="direct", bbox=BoundingBox(60, 60, 70, 70)),
+        Prediction(record_id="point", approach="direct", point=GeoPoint(5, 5)),
+        Prediction(record_id="none", approach="direct", flags=("no_parse",)),
+    ]
+    aggregate(preds, golds)
+    assert len(calls) == 3  # one per covered box
+    calls.clear()
+    report = analyze_errors(preds, golds)
+    assert report.sign_flip_suspects == 1
+    assert len(calls) == 3 + 1 + 3  # one per covered box, then the variants of the two misses
 
 
 def test_metrics_match_mc_oracle():
