@@ -7,6 +7,12 @@ exact arity wanted (2 for points, 4 for boxes), take the LAST one, and
 only then validate it. Parenthesized words and single numbers — both
 common in verbose traces — never match.
 
+The scan runs from the end: a tuple holds no parenthesis, so no two
+tuples overlap and the last one is the one at the rightmost ``(`` that
+opens a tuple. No tuple element matches ``(``, so an attempt that fails
+at one ``(`` stops before the next: each character is read about once
+and the cost is linear in the text's length.
+
 Validation failures are not discarded: a tuple that is out of range or
 mis-ordered is kept with its values so callers can distinguish "the
 model answered, badly" from "the model did not answer".
@@ -26,6 +32,17 @@ _POINT_RE = re.compile(rf"\(\s*({_NUM})\s*,\s*({_NUM})\s*\)")
 _BBOX_RE = re.compile(
     rf"\(\s*({_NUM})\s*,\s*({_NUM})\s*,\s*({_NUM})\s*,\s*({_NUM})\s*\)"
 )
+
+
+def _last_tuple(pattern: re.Pattern[str], text: str) -> tuple[str, ...] | None:
+    """Groups of the last non-overlapping ``pattern`` match, as ``findall(text)[-1]``."""
+    end = len(text)
+    while (start := text.rfind("(", 0, end)) >= 0:
+        match = pattern.match(text, start)
+        if match:
+            return match.groups()
+        end = start
+    return None
 
 
 @dataclass(frozen=True)
@@ -81,10 +98,10 @@ def parse_point(text: str) -> ParsedPoint:
         ParsedPoint. Out-of-range values are retained with
         ``errors=("range",)`` and no point.
     """
-    matches = _POINT_RE.findall(text)
-    if not matches:
+    groups = _last_tuple(_POINT_RE, text)
+    if groups is None:
         return ParsedPoint(values=None, point=None)
-    lat, lon = (float(v) for v in matches[-1])
+    lat, lon = (float(v) for v in groups)
     if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
         return ParsedPoint(values=(lat, lon), point=GeoPoint(lat=lat, lon=lon))
     return ParsedPoint(values=(lat, lon), point=None, errors=("range",))
@@ -102,10 +119,10 @@ def parse_bbox(text: str) -> ParsedBox:
         with the raw values retained; a tuple with both problems carries
         both flags.
     """
-    matches = _BBOX_RE.findall(text)
-    if not matches:
+    groups = _last_tuple(_BBOX_RE, text)
+    if groups is None:
         return ParsedBox(values=None, box=None)
-    lon_min, lat_min, lon_max, lat_max = (float(v) for v in matches[-1])
+    lon_min, lat_min, lon_max, lat_max = (float(v) for v in groups)
     values = (lon_min, lat_min, lon_max, lat_max)
     errors: list[str] = []
     if lon_min > lon_max or lat_min > lat_max:

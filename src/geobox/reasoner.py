@@ -8,6 +8,7 @@ free-form responses.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -77,10 +78,23 @@ def mention_sentence(name: str, lon: float, lat: float) -> str:
     )
 
 
+_JSON = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def cache_key(model: str, system: str, user: str) -> str:
-    """Stable cache key for a chat call: SHA-256 over the identifying triple."""
-    blob = json.dumps([model, system, user], ensure_ascii=False, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """Stable cache key for a chat call: SHA-256 over the identifying triple.
+
+    The hashed blob is the compact JSON array ``[model,system,user]``; the
+    hash of its ``[model,system,`` prefix is computed once per pair.
+    """
+    digest = _prefix_digest(model, system).copy()
+    digest.update(f"{_JSON.encode(user)}]".encode("utf-8"))
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=32)
+def _prefix_digest(model: str, system: str):
+    return hashlib.sha256(f"[{_JSON.encode(model)},{_JSON.encode(system)},".encode("utf-8"))
 
 
 def build_prompt(
@@ -154,6 +168,11 @@ def _order_by_appearance(
 _MENTION_RE = re.compile(
     rf"([^.!?:;\n]+?)\s+has a longitude of\s+({_NUM})\s+and latitude of\s+({_NUM})"
 )
+# The same pattern, tried only just after a boundary character. If a
+# match starts at p and text[p-1] is not a boundary, one also starts at
+# p-1; so past the search position the leftmost match always starts just
+# after a boundary, and each clause is scanned from its start only.
+_AFTER_BOUNDARY_RE = re.compile(rf"(?<=[.!?:;\n]){_MENTION_RE.pattern}")
 
 
 def extract_mentions(text: str) -> list[RecalledMention]:
@@ -161,9 +180,14 @@ def extract_mentions(text: str) -> list[RecalledMention]:
 
     Out-of-range coordinates are kept (``valid=False``); cleaning is
     limited to trimming whitespace and markdown emphasis around names.
+    Finds what ``_MENTION_RE.finditer`` finds, in time linear in the
+    text's length, save for a whitespace run inside one clause, which
+    costs the square of the run's length.
     """
     mentions = []
-    for match in _MENTION_RE.finditer(text):
+    pos = 0
+    while match := _MENTION_RE.match(text, pos) or _AFTER_BOUNDARY_RE.search(text, pos):
+        pos = match.end()
         name = match.group(1).strip().strip("*`_").strip()
         if not name:
             continue

@@ -82,6 +82,36 @@ RECALLER_TWO_MENTIONS = (
 )
 RECALLER_OUT_OF_RANGE = "South America has a longitude of -13.591 and latitude of 109.712."
 
+# Pieces that model replies are built from in the extraction property
+# tests: clause boundaries, whitespace, tuple punctuation, signed
+# decimals (some not plain, like "1." and ".5"), words and the fixed
+# mention-sentence phrases.
+REPLY_TOKENS = (
+    *".!?:;\n",
+    " ",
+    "  ",
+    "\t",
+    "(",
+    ")",
+    ",",
+    ", ",
+    "1",
+    "1.",
+    ".5",
+    "+3.25",
+    "-12.0",
+    "1e5",
+    "(0, 1",
+    ", 2, 3)",
+    "A",
+    "New York",
+    "**",
+    "has a longitude of",
+    "and latitude of",
+    " has a longitude of ",
+    " and latitude of ",
+)
+
 # --- prompt goldens ----------------------------------------------------------
 
 TAUPO_DESCRIPTION = (

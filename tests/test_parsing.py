@@ -1,5 +1,7 @@
+import time
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fixtures import (
@@ -9,6 +11,7 @@ from fixtures import (
     DIRECT_OUTPUT_B_BOX,
     DIRECT_OUTPUT_C,
     DIRECT_OUTPUT_C_BOX,
+    REPLY_TOKENS,
     TRACE_MARKDOWN_BOLD,
     TRACE_MARKDOWN_BOLD_BOX,
     TRACE_PROSE_ROUNDED,
@@ -17,7 +20,7 @@ from fixtures import (
     TRACE_SINGLE_NUMBER_PARENS_BOX,
 )
 from geobox import BoundingBox, GeoPoint, format_bbox, format_point
-from geobox.parsing import parse_bbox, parse_point
+from geobox.parsing import _BBOX_RE, _POINT_RE, parse_bbox, parse_point
 from geobox.prompts import PromptKind, system_text
 
 # --- exemplar tuples --------------------------------------------------------
@@ -190,3 +193,42 @@ def test_point_parse_with_noise(point, prefix):
     parsed = parse_point(f"{prefix}{format_point(point)}")
     assert parsed.ok
     assert parsed.point == point
+
+
+_reply = st.lists(st.sampled_from(REPLY_TOKENS), max_size=30).map("".join)
+
+
+@given(_reply)
+@example("")
+@example("(1, 2, 3, 4) then (5, 6, 7, 8) (9, 10)")
+@example("(1., 2, 3, 4) (0, 1, 2, 3)) (-1, +2, .5, 3)")
+def test_parse_bbox_takes_last_findall_match(text):
+    matches = _BBOX_RE.findall(text)
+    expected = tuple(float(v) for v in matches[-1]) if matches else None
+    assert parse_bbox(text).values == expected
+
+
+@given(_reply)
+@example("")
+@example("(1, 2) then (3, 4) (5, 6, 7, 8)")
+@example("((0, 1) (-1, +2.5 (.5, 3)")
+def test_parse_point_takes_last_findall_match(text):
+    matches = _POINT_RE.findall(text)
+    expected = tuple(float(v) for v in matches[-1]) if matches else None
+    assert parse_point(text).values == expected
+
+
+# --- long replies -----------------------------------------------------------------
+
+
+def test_long_transcript_with_many_parentheses_parses_fast():
+    # the answer comes first and thousands of non-tuple "(" follow it, so
+    # a scan from the end passes every one of them
+    filler = "(see step 3) (1, 2, 3 (lon (-4.5, "
+    text = "(1.0, 2.0, 3.0, 4.0) " + filler * (64 * 1024 // len(filler))
+    assert len(text) > 64 * 1024
+    start = time.perf_counter()
+    parsed = parse_bbox(text)
+    elapsed = time.perf_counter() - start
+    assert parsed.box == BoundingBox(1.0, 2.0, 3.0, 4.0)
+    assert elapsed < 0.5

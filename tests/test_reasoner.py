@@ -3,10 +3,13 @@ import concurrent.futures
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fixtures import (
     RECALLER_OUT_OF_RANGE,
     RECALLER_TWO_MENTIONS,
+    REPLY_TOKENS,
     TAUPO_DESCRIPTION,
     TAUPO_RECALLED,
     TRACE_MARKDOWN_BOLD,
@@ -28,7 +31,7 @@ from geobox import (
 )
 from geobox.netutil import EmptyResponseError, ProtocolError, TransportError
 from geobox.prompts import PromptKind
-from geobox.reasoner import cache_key
+from geobox.reasoner import _MENTION_RE, cache_key
 
 # --- prompt assembly vs goldens ---------------------------------------------
 
@@ -165,6 +168,46 @@ def test_extract_mentions_name_stops_at_sentence_boundary():
 
 def test_extract_mentions_none_found():
     assert extract_mentions("No coordinates here.") == []
+
+
+def test_extract_mentions_restarts_mid_clause():
+    # the second mention starts right where the first ends, with no
+    # boundary between them, so its name keeps the leading "and"
+    got = extract_mentions(
+        "A has a longitude of 1 and latitude of 2 and B has a longitude of 3 and latitude of 4."
+    )
+    assert [m.name for m in got] == ["A", "and B"]
+    assert [(m.lon, m.lat) for m in got] == [(1.0, 2.0), (3.0, 4.0)]
+
+
+def _finditer_mentions(text):
+    mentions = []
+    for match in _MENTION_RE.finditer(text):
+        name = match.group(1).strip().strip("*`_").strip()
+        if name:
+            mentions.append(
+                RecalledMention(name=name, lon=float(match.group(2)), lat=float(match.group(3)))
+            )
+    return mentions
+
+
+@given(st.lists(st.sampled_from(REPLY_TOKENS), max_size=30).map("".join))
+@example("")
+@example("x. A has a longitude of 1 and latitude of 2 B has a longitude of 3 and latitude of 4")
+@example("** has a longitude of 1 and latitude of 2; :C has a longitude of 1. and latitude of .5")
+def test_extract_mentions_matches_finditer(text):
+    assert extract_mentions(text) == _finditer_mentions(text)
+
+
+def test_long_clause_before_a_mention_extracts_fast():
+    clause = "the lake lies east of the river and north of the hills " * 300
+    text = clause + ". Paris has a longitude of 2.35 and latitude of 48.85."
+    assert len(clause) > 16 * 1024
+    start = time.perf_counter()
+    got = extract_mentions(text)
+    elapsed = time.perf_counter() - start
+    assert got == [RecalledMention(name="Paris", lon=2.35, lat=48.85)]
+    assert elapsed < 0.5
 
 
 # --- response interpretation ----------------------------------------------------
