@@ -5,8 +5,8 @@ predictions file), export-sft (write supervised tuning rows), analyze
 (error probes over a predictions file), report (render stored metric
 reports). A JSON config file can preset any flag; explicit flags win.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 transport
-failure.
+Exit codes: 0 success, 1 usage/config error or an unwritable path, 2 data
+error, 3 transport failure.
 """
 
 from __future__ import annotations
@@ -71,14 +71,16 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     run.add_argument("--geocoder-endpoint", help="remote geocoder URL")
     run.add_argument("--llm-base", help="chat API base URL (default: $LLM_API_BASE)")
     run.add_argument("--cache-dir", help="directory for response caches")
-    run.add_argument("--parallelism", type=int)
-    run.add_argument("--retries", type=int, help="HTTP retries after the first attempt")
-    run.add_argument("--backoff", type=float, help="base retry backoff in seconds")
-    run.add_argument("--few-shot", action=argparse.BooleanOptionalAction, default=None)
+    run.add_argument("--parallelism", type=int, default=1)
+    run.add_argument("--retries", type=int, default=3, help="HTTP retries after the first attempt")
+    run.add_argument("--backoff", type=float, default=0.5, help="base retry backoff in seconds")
+    run.add_argument("--few-shot", action=argparse.BooleanOptionalAction, default=True)
     run.add_argument("--limit", type=int, help="run only the first N records")
-    run.add_argument("--predictions", help="output predictions JSONL path")
+    run.add_argument(
+        "--predictions", default="predictions.jsonl", help="output predictions JSONL path"
+    )
     run.add_argument("--report-out", help="write the metrics report as JSON here")
-    run.add_argument("--format", choices=_FORMATS)
+    run.add_argument("--format", choices=_FORMATS, default="text")
 
     ev = sub.add_parser("eval", help="rescore a predictions file against a dataset")
     ev.add_argument("--config", help="JSON file presetting any flag (flags win)")
@@ -86,7 +88,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     ev.add_argument("--dataset", help="dataset JSONL path")
     ev.add_argument("--label", help="report label (default: from predictions)")
     ev.add_argument("--report-out", help="write the metrics report as JSON here")
-    ev.add_argument("--format", choices=_FORMATS)
+    ev.add_argument("--format", choices=_FORMATS, default="text")
 
     sft = sub.add_parser("export-sft", help="export supervised tuning rows")
     sft.add_argument("--config", help="JSON file presetting any flag (flags win)")
@@ -94,36 +96,20 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sft.add_argument("--approach", choices=["direct", "geoaug-oracle"])
     sft.add_argument("--out", help="output JSONL path")
     sft.add_argument("--sample", type=int, help="subsample N records before export")
-    sft.add_argument("--seed", type=int, help="subsample seed (default 0)")
+    sft.add_argument("--seed", type=int, default=0, help="subsample seed (default 0)")
 
     an = sub.add_parser("analyze", help="error probes over a predictions file")
     an.add_argument("--config", help="JSON file presetting any flag (flags win)")
     an.add_argument("--predictions", help="predictions JSONL path")
     an.add_argument("--dataset", help="dataset JSONL path")
     an.add_argument("--out", help="write the error report as JSON here")
-    an.add_argument("--format", choices=_FORMATS)
+    an.add_argument("--format", choices=_FORMATS, default="text")
 
     rep = sub.add_parser("report", help="render stored metric reports as one table")
     rep.add_argument("--config", help="JSON file presetting any flag (flags win)")
     rep.add_argument("inputs", nargs="*", help="metric report JSON files (from --report-out)")
-    rep.add_argument("--format", choices=_FORMATS)
+    rep.add_argument("--format", choices=_FORMATS, default="text")
     return parser, sub.choices
-
-
-_DEFAULTS = {
-    "run": {
-        "parallelism": 1,
-        "retries": 3,
-        "backoff": 0.5,
-        "few_shot": True,
-        "predictions": "predictions.jsonl",
-        "format": "text",
-    },
-    "eval": {"format": "text"},
-    "export-sft": {"seed": 0},
-    "analyze": {"format": "text"},
-    "report": {"format": "text"},
-}
 
 
 def _config_value_error(action: argparse.Action, value) -> str | None:
@@ -147,98 +133,100 @@ def _config_value_error(action: argparse.Action, value) -> str | None:
     return None
 
 
-def _merge_config(args: argparse.Namespace, command: _Parser) -> dict:
-    """Layer defaults, config file, and explicit flags (strongest last).
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """Parse ``argv``, with the ``--config`` file's values as flag defaults.
 
-    A config key naming a flag of ``command`` must hold a value that flag
-    could give; other keys pass through, so one file can serve several
-    subcommands.
+    Explicit flags win over the config, which wins over built-in
+    defaults. A config key naming a flag of the subcommand must hold a
+    value that flag could give; other keys are ignored, so one file can
+    serve several subcommands.
     """
-    merged = dict(_DEFAULTS.get(args.command, {}))
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {config_path}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise UsageError(f"config {config_path} must hold a JSON object")
-        for action in command._actions:
-            if action.dest in loaded and action.dest in vars(args):
-                problem = _config_value_error(action, loaded[action.dest])
-                if problem is not None:
-                    raise UsageError(f"config {config_path}: {action.dest} {problem}")
-        merged.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None and value != []:
-            merged[key] = value
-    return merged
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise UsageError(f"config {args.config} must hold a JSON object")
+    command = commands[args.command]
+    presets = {}
+    for action in command._actions:
+        if action.dest in loaded and action.dest not in ("help", "config"):
+            problem = _config_value_error(action, loaded[action.dest])
+            if problem is not None:
+                raise UsageError(f"config {args.config}: {action.dest} {problem}")
+            presets[action.dest] = loaded[action.dest]
+    command.set_defaults(**presets)
+    return parser.parse_args(argv)
 
 
-def _require(options: dict, *names: str) -> None:
+def _require(args: argparse.Namespace, *names: str) -> None:
     for name in names:
-        if options.get(name) in (None, ""):
+        if getattr(args, name) in (None, ""):
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _cache_path(options: dict, filename: str) -> str | None:
-    cache_dir = options.get("cache_dir")
-    if not cache_dir:
+def _cache_path(args: argparse.Namespace, filename: str) -> str | None:
+    if not args.cache_dir:
         return None
-    os.makedirs(cache_dir, exist_ok=True)
-    return os.path.join(cache_dir, filename)
+    os.makedirs(args.cache_dir, exist_ok=True)
+    return os.path.join(args.cache_dir, filename)
 
 
-def _cmd_run(options: dict) -> int:
-    _require(options, "approach", "model", "dataset")
-    approach = Approach(options["approach"])
-    records, load_report = load_dataset(options["dataset"])
+def _write_report(path: str | None, report) -> None:
+    """Write a report's record as indented JSON when ``path`` is given."""
+    if path:
+        atomic_write_text(path, json.dumps(report.to_record(), indent=2) + "\n")
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    _require(args, "approach", "model", "dataset")
+    approach = Approach(args.approach)
+    records, load_report = load_dataset(args.dataset)
     if load_report.n_skipped:
         logger.warning("dataset: %d line(s) skipped", load_report.n_skipped)
-    limit = options.get("limit")
-    if limit is not None:
-        if limit < 1:
+    if args.limit is not None:
+        if args.limit < 1:
             raise UsageError("--limit must be >= 1")
-        records = records[:limit]
+        records = records[: args.limit]
 
     store = None
-    if options.get("gazetteer"):
+    if args.gazetteer:
         try:
-            store = GazetteerStore.load(options["gazetteer"])
+            store = GazetteerStore.load(args.gazetteer)
         except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read gazetteer {options['gazetteer']}: {exc}") from exc
+            raise DataError(f"cannot read gazetteer {args.gazetteer}: {exc}") from exc
     geocoder = None
     try:
-        if options.get("geocoder_endpoint"):
+        if args.geocoder_endpoint:
             geocoder = GeocoderClient(
-                options["geocoder_endpoint"],
-                cache_path=_cache_path(options, "geocoder_cache.jsonl"),
-                max_retries=options["retries"],
-                backoff_s=options["backoff"],
+                args.geocoder_endpoint,
+                cache_path=_cache_path(args, "geocoder_cache.jsonl"),
+                max_retries=args.retries,
+                backoff_s=args.backoff,
             )
         chat = ChatClient(
-            base_url=options.get("llm_base"),
-            cache_path=_cache_path(options, "llm_cache.jsonl"),
-            max_retries=options["retries"],
-            backoff_s=options["backoff"],
+            base_url=args.llm_base,
+            cache_path=_cache_path(args, "llm_cache.jsonl"),
+            max_retries=args.retries,
+            backoff_s=args.backoff,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
     config = ExperimentConfig(
         approach=approach,
-        model=options["model"],
-        recaller_model=options.get("recaller_model"),
-        few_shot=options["few_shot"],
+        model=args.model,
+        recaller_model=args.recaller_model,
+        few_shot=args.few_shot,
     )
     deps = RunDeps(chat=chat, store=store, geocoder=geocoder)
     try:
-        predictions, report = run_experiment(
-            config, records, deps, parallelism=options["parallelism"]
-        )
+        predictions, report = run_experiment(config, records, deps, parallelism=args.parallelism)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     finally:
@@ -246,12 +234,9 @@ def _cmd_run(options: dict) -> int:
             if client is not None:
                 client.close()
 
-    write_predictions(predictions, options["predictions"])
-    if options.get("report_out"):
-        atomic_write_text(
-            options["report_out"], json.dumps(report.to_record(), indent=2) + "\n"
-        )
-    print(render_report([(report.label, report)], fmt=options["format"]))
+    write_predictions(predictions, args.predictions)
+    _write_report(args.report_out, report)
+    print(render_report([(report.label, report)], fmt=args.format))
     if predictions and all("transport_error" in p.flags for p in predictions):
         # outputs above are still written; the status just says the run was noise
         print("transport error: every record failed to reach the endpoint", file=sys.stderr)
@@ -266,57 +251,51 @@ def _derive_label(predictions) -> str:
     return "eval"
 
 
-def _cmd_eval(options: dict) -> int:
-    _require(options, "predictions", "dataset")
-    predictions = read_predictions(options["predictions"])
-    records, _ = load_dataset(options["dataset"])
-    label = options.get("label") or _derive_label(predictions)
+def _cmd_eval(args: argparse.Namespace) -> int:
+    _require(args, "predictions", "dataset")
+    predictions = read_predictions(args.predictions)
+    records, _ = load_dataset(args.dataset)
+    label = args.label or _derive_label(predictions)
     try:
         report = aggregate(predictions, golds_by_id(records), label=label)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    if options.get("report_out"):
-        atomic_write_text(
-            options["report_out"], json.dumps(report.to_record(), indent=2) + "\n"
-        )
-    print(render_report([(label, report)], fmt=options["format"]))
+    _write_report(args.report_out, report)
+    print(render_report([(label, report)], fmt=args.format))
     return EXIT_OK
 
 
-def _cmd_export_sft(options: dict) -> int:
-    _require(options, "dataset", "approach", "out")
-    records, _ = load_dataset(options["dataset"])
-    sample = options.get("sample")
-    if sample is not None:
+def _cmd_export_sft(args: argparse.Namespace) -> int:
+    _require(args, "dataset", "approach", "out")
+    records, _ = load_dataset(args.dataset)
+    if args.sample is not None:
         try:
-            records = sample_train_subset(records, sample, seed=options["seed"])
+            records = sample_train_subset(records, args.sample, seed=args.seed)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    stats = export_finetune_jsonl(records, options["approach"], options["out"])
-    print(f"wrote {stats.written} row(s) to {options['out']} ({stats.skipped} skipped)")
+    stats = export_finetune_jsonl(records, args.approach, args.out)
+    print(f"wrote {stats.written} row(s) to {args.out} ({stats.skipped} skipped)")
     return EXIT_OK
 
 
-def _cmd_analyze(options: dict) -> int:
-    _require(options, "predictions", "dataset")
-    predictions = read_predictions(options["predictions"])
-    records, _ = load_dataset(options["dataset"])
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    _require(args, "predictions", "dataset")
+    predictions = read_predictions(args.predictions)
+    records, _ = load_dataset(args.dataset)
     try:
         errors = analyze_errors(predictions, golds_by_id(records))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    if options.get("out"):
-        atomic_write_text(options["out"], json.dumps(errors.to_record(), indent=2) + "\n")
-    print(render_error_report(errors, fmt=options["format"]))
+    _write_report(args.out, errors)
+    print(render_error_report(errors, fmt=args.format))
     return EXIT_OK
 
 
-def _cmd_report(options: dict) -> int:
-    inputs = options.get("inputs") or []
-    if not inputs:
+def _cmd_report(args: argparse.Namespace) -> int:
+    if not args.inputs:
         raise UsageError("report needs at least one metrics JSON file")
     entries = []
-    for path in inputs:
+    for path in args.inputs:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 record = json.load(fh)
@@ -324,7 +303,7 @@ def _cmd_report(options: dict) -> int:
         except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
             raise DataError(f"cannot read metrics report {path}: {exc}") from exc
         entries.append((report.label, report))
-    print(render_report(entries, fmt=options["format"]))
+    print(render_report(entries, fmt=args.format))
     return EXIT_OK
 
 
@@ -339,11 +318,9 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        options = _merge_config(args, commands[args.command])
-        return _COMMANDS[args.command](options)
+        args = _parse_args(argv)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -353,6 +330,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    except OSError as exc:  # e.g. a cache or output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

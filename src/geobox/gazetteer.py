@@ -39,9 +39,8 @@ def normalize_name(name: str) -> str:
 class GazetteerStore:
     """In-memory name -> GeoInfo table with normalized-name lookup.
 
-    Duplicate names are kept in insertion order; an optional country
-    qualifier at lookup time prefers the matching entry, falling back to
-    the first inserted one.
+    Duplicate names are all kept, in insertion order; lookup returns the
+    first one inserted.
     """
 
     def __init__(self, infos: Iterable[GeoInfo] = ()) -> None:
@@ -61,26 +60,10 @@ class GazetteerStore:
         for entries in self._by_name.values():
             yield from entries
 
-    def lookup(self, name: str, country: str | None = None) -> GeoInfo | None:
-        """Find an entry by normalized name.
-
-        Args:
-            name: location name; whitespace and case are ignored.
-            country: when given, an entry whose country matches
-                (case-insensitively) is preferred.
-
-        Returns:
-            The best entry, or None when the name is unknown.
-        """
+    def lookup(self, name: str) -> GeoInfo | None:
+        """The first entry added under ``name`` (case and spacing ignored), or None."""
         entries = self._by_name.get(normalize_name(name))
-        if not entries:
-            return None
-        if country is not None:
-            wanted = country.casefold()
-            for entry in entries:
-                if entry.country is not None and entry.country.casefold() == wanted:
-                    return entry
-        return entries[0]
+        return entries[0] if entries else None
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "GazetteerStore":
@@ -133,9 +116,8 @@ class GeocoderClient(ServiceClient):
     def __init__(self, endpoint: str, api_key: str | None = None, **options) -> None:
         check_http_url(endpoint, "geocoder endpoint")
         options.setdefault("rate_per_sec", self.RATE_PER_SEC)
-        self._endpoint = endpoint
         self._api_key = api_key if api_key is not None else os.environ.get("GEOCODER_API_KEY")
-        super().__init__(**options)
+        super().__init__(endpoint, **options)
 
     def geocode(self, name: str) -> GeoInfo | None:
         """Resolve a location name to GeoInfo, or None when unknown.
@@ -151,9 +133,9 @@ class GeocoderClient(ServiceClient):
             params = {"address": name}
             if self._api_key:
                 params["key"] = self._api_key
-            return request_json(pool, "GET", self._endpoint, params=params, **transport)
+            return request_json(pool, "GET", self._url, params=params, **transport)
 
-        key = json.dumps([self._endpoint, normalize_name(name)], separators=(",", ":"))
+        key = json.dumps([self._url, normalize_name(name)], separators=(",", ":"))
         return self._fetch(key, send, decode=lambda data: self._parse_response(name, data))
 
     def _parse_response(self, query: str, data) -> GeoInfo | None:

@@ -95,23 +95,23 @@ class JsonlCache:
     def _load(self) -> None:
         assert self._path is not None
         skipped = 0
-        raw = "\n"  # an empty file has no torn tail
-        with open(self._path, "r", encoding="utf-8") as fh:
+        raw = b"\n"  # an empty file has no torn tail
+        with open(self._path, "rb") as fh:
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
+                    obj = json.loads(line.decode("utf-8"))  # per line: a torn one is skipped
                     key = obj["key"]
                     value = obj["value"]
-                except (json.JSONDecodeError, KeyError, TypeError):
+                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                     skipped += 1
                     logger.warning("skipping corrupt cache line %d in %s", line_no, self._path)
                     continue
                 # Last write wins, matching append order.
                 self._data[key] = value
-        self._torn_tail = not raw.endswith("\n")
+        self._torn_tail = not raw.endswith(b"\n")
         if skipped:
             logger.warning("cache %s: %d corrupt line(s) ignored", self._path, skipped)
 
@@ -136,7 +136,7 @@ class JsonlCache:
 
 
 class ConnectionPool:
-    """Idle keep-alive HTTP(S) connections, shared by threads, keyed by scheme and host.
+    """Idle keep-alive HTTP(S) connections to the origin of ``url``, shared by threads.
 
     A request takes an idle connection or opens a new one, and gives it
     back once the whole reply is read, unless the server said it will
@@ -147,9 +147,12 @@ class ConnectionPool:
     ``ssl.create_default_context()``. Redirects are returned, not followed.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, url: str) -> None:
+        parts = urllib.parse.urlsplit(url)
+        self._https = parts.scheme == "https"
+        self._netloc = parts.netloc
         self._lock = threading.Lock()
-        self._idle: dict[tuple[str, str], list] = collections.defaultdict(list)
+        self._idle: list[http.client.HTTPConnection] = []
         self._tls: ssl.SSLContext | None = None
 
     def request(
@@ -157,49 +160,44 @@ class ConnectionPool:
     ) -> tuple[http.client.HTTPResponse, bytes]:
         """Send one request; return the response (already read) and its body.
 
-        Raises ``OSError`` or ``http.client.HTTPException`` when the
-        exchange fails.
+        Only the path and query of ``url`` are used: the request goes to
+        the pool's origin. Raises ``OSError`` or
+        ``http.client.HTTPException`` when the exchange fails.
         """
         import http.client
 
         parts = urllib.parse.urlsplit(url)
-        key = (parts.scheme, parts.netloc)
         target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
         with self._lock:
-            idle = self._idle[key]
-            conn = idle.pop() if idle else None
+            conn = self._idle.pop() if self._idle else None
         if conn is not None:
             try:
-                return self._exchange(key, conn, method, target, body, headers, timeout)
+                return self._exchange(conn, method, target, body, headers, timeout)
             except (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError):
                 pass  # closed by the server while idle: reopen below
-        conn = self._open(key, timeout)
-        return self._exchange(key, conn, method, target, body, headers, timeout)
+        conn = self._open(timeout)
+        return self._exchange(conn, method, target, body, headers, timeout)
 
     def close(self) -> None:
         """Close the idle connections. The pool stays usable."""
         with self._lock:
-            idle = [conn for conns in self._idle.values() for conn in conns]
-            self._idle.clear()
+            idle, self._idle = self._idle, []
         for conn in idle:
             conn.close()
 
-    def _open(self, key: tuple[str, str], timeout: float) -> http.client.HTTPConnection:
+    def _open(self, timeout: float) -> http.client.HTTPConnection:
         import http.client
 
-        scheme, netloc = key
-        if scheme == "http":
-            return http.client.HTTPConnection(netloc, timeout=timeout)
-        if scheme == "https":
-            if self._tls is None:
-                import ssl
+        if not self._https:
+            return http.client.HTTPConnection(self._netloc, timeout=timeout)
+        if self._tls is None:
+            import ssl
 
-                self._tls = ssl.create_default_context()
-            return http.client.HTTPSConnection(netloc, timeout=timeout, context=self._tls)
-        raise http.client.InvalidURL(f"unsupported URL scheme {scheme!r}")
+            self._tls = ssl.create_default_context()
+        return http.client.HTTPSConnection(self._netloc, timeout=timeout, context=self._tls)
 
     def _exchange(
-        self, key, conn, method, target, body, headers, timeout
+        self, conn, method, target, body, headers, timeout
     ) -> tuple[http.client.HTTPResponse, bytes]:
         conn.timeout = timeout
         if conn.sock is not None:
@@ -215,7 +213,7 @@ class ConnectionPool:
             conn.close()
         else:
             with self._lock:
-                self._idle[key].append(conn)
+                self._idle.append(conn)
         return resp, data
 
 
@@ -234,10 +232,10 @@ def request_json(
     params: dict | None = None,
     json_body: dict | None = None,
     headers: dict | None = None,
-    timeout: float = 30.0,
-    max_retries: int = 3,
-    backoff_s: float = 0.5,
-    limiter: RateLimiter | None = None,
+    timeout: float,
+    max_retries: int,
+    backoff_s: float,
+    limiter: RateLimiter | None,
 ) -> tuple[Any, int]:
     """Issue an HTTP request, retrying transient failures, and decode JSON.
 
@@ -304,19 +302,21 @@ def _unchanged(value: Any) -> Any:
 class ServiceClient:
     """Cached, retried, optionally paced JSON-over-HTTP calls to one service.
 
-    Holds the connection pool, the rate limiter (``rate_per_sec=None`` means
-    unpaced), the retry settings, the response cache and ``stats``: a
-    Counter of ``requests``, ``retries`` and ``cache_hits``, updated
-    under a lock since pool threads share one client. A negative
-    ``max_retries`` or ``backoff_s`` raises ``ValueError``. Subclasses set
-    ``TIMEOUT_S`` (per attempt) and pass their cache key, request and
-    decoder to ``_fetch``.
+    Holds the service's ``url``, a connection pool to its origin, the rate
+    limiter (``rate_per_sec=None`` means unpaced), the retry settings,
+    the response cache and ``stats``: a Counter of ``requests``,
+    ``retries`` and ``cache_hits``, updated under a lock since pool
+    threads share one client. A negative ``max_retries`` or ``backoff_s``
+    raises ``ValueError``. Subclasses check ``url`` with
+    ``check_http_url``, set ``TIMEOUT_S`` (per attempt) and pass their
+    cache key, request and decoder to ``_fetch``.
     """
 
     TIMEOUT_S: float
 
     def __init__(
         self,
+        url: str,
         *,
         max_retries: int = 3,
         backoff_s: float = 0.5,
@@ -331,7 +331,8 @@ class ServiceClient:
         self._backoff_s = backoff_s
         self._limiter = RateLimiter(rate_per_sec) if rate_per_sec is not None else None
         self._cache = JsonlCache(cache_path)
-        self._pool = ConnectionPool()
+        self._url = url
+        self._pool = ConnectionPool(url)
         self._stats_lock = threading.Lock()
         self.stats: collections.Counter[str] = collections.Counter()
 

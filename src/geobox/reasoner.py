@@ -248,9 +248,8 @@ class ChatClient(ServiceClient):
         if not base:
             raise ValueError("no chat endpoint: pass base_url or set LLM_API_BASE")
         check_http_url(base, "chat endpoint")
-        self._url = base.rstrip("/") + "/chat/completions"
         self._api_key = api_key if api_key is not None else os.environ.get("LLM_API_KEY")
-        super().__init__(**options)
+        super().__init__(base.rstrip("/") + "/chat/completions", **options)
 
     def complete(self, request: ChatRequest) -> str:
         """Run one chat call, returning the completion text.

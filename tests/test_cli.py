@@ -5,6 +5,7 @@ import pytest
 from fixtures import MIXED_EXPECT, echo_gold_script, make_fixture_gazetteer, mixed_failure_script
 from geobox.cli import EXIT_DATA, EXIT_OK, EXIT_TRANSPORT, EXIT_USAGE, main
 from geobox.dataset import read_predictions, write_dataset
+from geobox.prompts import PromptKind, system_text
 
 
 @pytest.fixture
@@ -288,11 +289,70 @@ def test_explicit_flags_beat_config(capsys, tmp_path, records, dataset_path, cha
     assert not (tmp_path / "p1.jsonl").exists()
 
 
-def test_unreadable_config_exits_1(tmp_path):
+def test_unreadable_config_exits_1(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
     assert main(["run", "--config", str(bad)]) == EXIT_USAGE
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == EXIT_USAGE
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"model": "\xff"}')
+    capsys.readouterr()
+    assert main(["run", "--config", str(binary)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {binary}: 'utf-8' codec")
+
+
+def test_config_presets_do_not_leak_into_the_next_call(
+    capsys, tmp_path, records, dataset_path, chat_stub
+):
+    _echo(chat_stub, records)
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"limit": 1, "format": "csv", "model": "from-config"}))
+    args = _run_args(dataset_path, chat_stub, tmp_path / "p.jsonl")
+    assert main([*args, "--config", str(config_path)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("Approach,Reasoner")
+    assert chat_stub.core.request_count == 1
+
+    assert main(args) == EXIT_OK
+    assert not capsys.readouterr().out.startswith("Approach,Reasoner")
+    assert chat_stub.core.request_count == 1 + len(records)
+    assert chat_stub.core.requests[-1]["model"] == "test-m"
+
+
+def test_run_defaults(capsys, tmp_path, monkeypatch, records, dataset_path, chat_stub):
+    _echo(chat_stub, records)
+    chat_stub.core.fail_next(1, status=503)  # the default --retries absorbs it
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "--approach", "direct", "--model", "m", "--dataset", dataset_path]
+    assert main([*argv, "--llm-base", chat_stub.base_url]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:2] == ["Approach", "Reasoner"]
+    assert lines[2].startswith("direct")
+    predictions = read_predictions(tmp_path / "predictions.jsonl")
+    assert len(predictions) == len(records)
+    assert all(p.covered for p in predictions)
+    assert chat_stub.core.requests[-1]["system"] == system_text(PromptKind.DIRECT_BOX, True)
+
+
+@pytest.mark.parametrize(
+    "case", ["cache-dir-is-a-file", "cache-file-is-a-directory", "predictions-under-a-file"]
+)
+def test_unusable_path_exits_1(capsys, tmp_path, records, dataset_path, chat_stub, case):
+    _echo(chat_stub, records)
+    blocker = tmp_path / "blocker"
+    extra = ["--cache-dir", str(blocker)]
+    preds = tmp_path / "p.jsonl"
+    if case == "cache-dir-is-a-file":
+        blocker.write_text("")
+    elif case == "cache-file-is-a-directory":
+        (blocker / "llm_cache.jsonl").mkdir(parents=True)
+    else:
+        blocker.write_text("")
+        extra, preds = [], blocker / "p.jsonl"
+    assert main(_run_args(dataset_path, chat_stub, preds, *extra)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and str(blocker) in err
+    sent = len(records) if case == "predictions-under-a-file" else 0
+    assert chat_stub.core.request_count == sent
 
 
 @pytest.mark.parametrize(

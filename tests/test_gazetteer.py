@@ -32,15 +32,12 @@ def test_store_lookup_ignores_case_and_spacing():
     assert store.lookup("strait of gibraltar") is None
 
 
-def test_store_country_preference():
+def test_store_duplicate_name_returns_first_entry():
     first = _info("Springfield", 39.7817, -89.6501, country="United States")
-    second = _info("Springfield", 44.0462, -123.022, country="Canada")
+    second = _info("springfield", 44.0462, -123.022, country="Canada")
     store = GazetteerStore([first, second])
-    assert store.lookup("Springfield") is first
-    assert store.lookup("Springfield", country="canada") is second
-    assert store.lookup("Springfield", country="CANADA") is second
-    # unknown country falls back to the first inserted entry
-    assert store.lookup("Springfield", country="France") is first
+    assert store.lookup("SPRINGFIELD") is first
+    assert list(store) == [first, second]
 
 
 def test_store_len_and_iter():

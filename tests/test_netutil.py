@@ -23,6 +23,21 @@ def test_put_after_torn_tail_starts_a_new_line(tmp_path):
     assert reloaded.get("b") is None
 
 
+def test_line_torn_inside_a_utf8_character_is_skipped(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    JsonlCache(path).put("a", "São Paulo")
+    torn = '{"key": "b", "value": "S\u00e3o'.encode("utf-8")
+    with open(path, "ab") as fh:
+        fh.write(torn[: torn.index(b"\xc3") + 1])  # cut after the first byte of "ã"
+    cache = JsonlCache(path)
+    assert "skipping corrupt cache line 2" in caplog.text
+    assert (cache.get("a"), cache.get("b")) == ("São Paulo", None)
+    cache.put("c", 3)
+    assert path.read_bytes().endswith(b'\xc3\n{"key": "c", "value": 3}\n')
+    reloaded = JsonlCache(path)
+    assert (reloaded.get("a"), reloaded.get("b"), reloaded.get("c")) == ("São Paulo", None, 3)
+
+
 def test_concurrent_atomic_writes_to_one_path(tmp_path):
     path = tmp_path / "out.txt"
     texts = [f"writer {n}\n" * 50 for n in range(4)]
@@ -63,7 +78,7 @@ def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
 @pytest.mark.parametrize("setting", [{"max_retries": -1}, {"backoff_s": -0.5}])
 def test_negative_retry_settings_are_rejected(setting):
     with pytest.raises(ValueError):
-        ServiceClient(**setting)
+        ServiceClient("http://127.0.0.1:9", **setting)
 
 
 def test_gets_during_concurrent_puts_lose_no_key(tmp_path):

@@ -14,6 +14,10 @@ from geobox.reasoner import ChatClient, ChatRequest
 from stubs import ChatStub
 
 
+# request_json settings other than max_retries: no backoff, no pacing.
+_UNPACED = {"timeout": 5.0, "backoff_s": 0.0, "limiter": None}
+
+
 def _reply(status: str, body: bytes, *headers: str) -> bytes:
     head = [f"HTTP/1.1 {status}", f"Content-Length: {len(body)}", *headers]
     return ("\r\n".join(head) + "\r\n\r\n").encode("ascii") + body
@@ -130,9 +134,9 @@ def test_https_connections_verify_certificates(monkeypatch):
 
 def test_redirect_is_not_followed(raw_server):
     server = raw_server(_reply("302 Found", b"", "Location: /elsewhere"))
-    pool = ConnectionPool()
+    pool = ConnectionPool(server.url)
     with pytest.raises(ProtocolError, match="HTTP 302 .*'/elsewhere' not followed"):
-        request_json(pool, "GET", server.url + "/geocode", max_retries=2)
+        request_json(pool, "GET", server.url + "/geocode", max_retries=2, **_UNPACED)
     pool.close()
     assert server.requests == ["GET /geocode HTTP/1.1"]
 
@@ -140,5 +144,6 @@ def test_redirect_is_not_followed(raw_server):
 def test_unreachable_endpoint_names_the_os_error():
     with socket.create_server(("127.0.0.1", 0)) as sock:
         port = sock.getsockname()[1]  # nothing listens here once closed
+    url = f"http://127.0.0.1:{port}/x"
     with pytest.raises(TransportError, match="ConnectionRefusedError"):
-        request_json(ConnectionPool(), "GET", f"http://127.0.0.1:{port}/x", max_retries=0)
+        request_json(ConnectionPool(url), "GET", url, max_retries=0, **_UNPACED)
