@@ -66,16 +66,16 @@ def sign_flip_variants(box: BoundingBox) -> tuple[BoundingBox, BoundingBox, Boun
     return (lons, lats, both)
 
 
-def _copied_edges(pred_box: BoundingBox, centers: list[GeoPoint], eps: float) -> int:
+def _edge_gaps(pred_box: BoundingBox, centers: list[GeoPoint]) -> tuple[float, ...]:
+    """How far each box edge sits from the matching min/max over the centers, in degrees."""
     lons = [c.lon for c in centers]
     lats = [c.lat for c in centers]
-    edges = (
-        (pred_box.lon_min, min(lons)),
-        (pred_box.lon_max, max(lons)),
-        (pred_box.lat_min, min(lats)),
-        (pred_box.lat_max, max(lats)),
+    return (
+        abs(pred_box.lon_min - min(lons)),
+        abs(pred_box.lon_max - max(lons)),
+        abs(pred_box.lat_min - min(lats)),
+        abs(pred_box.lat_max - max(lats)),
     )
-    return sum(1 for edge, extreme in edges if abs(edge - extreme) <= eps)
 
 
 def analyze_errors(
@@ -119,10 +119,10 @@ def analyze_errors(
             report.sign_flip_suspects += 1
 
         if pred.recalled:
-            centers = [info.center for _, info in pred.recalled]
-            if _copied_edges(pred.bbox, centers, COPY_EPS_DEG) >= 3:
+            gaps = _edge_gaps(pred.bbox, [info.center for _, info in pred.recalled])
+            if sum([gap <= COPY_EPS_DEG for gap in gaps]) >= 3:
                 report.coord_copy_suspects += 1
-            if _copied_edges(pred.bbox, centers, COPY_EPS_LOOSE_DEG) >= 3:
+            if sum([gap <= COPY_EPS_LOOSE_DEG for gap in gaps]) >= 3:
                 report.coord_copy_suspects_loose += 1
 
         if precision > recall:

@@ -44,6 +44,9 @@ EXIT_TRANSPORT = 3
 
 _FORMATS = ("text", "markdown", "csv")
 
+# The `run` flag that supplies each optional RunDeps field.
+_DEP_FLAGS = {"store": "gazetteer", "geocoder": "geocoder_endpoint"}
+
 
 class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 1."""
@@ -193,6 +196,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.limit < 1:
             raise UsageError("--limit must be >= 1")
         records = records[: args.limit]
+    for dep in approach.required_deps:
+        flag = _DEP_FLAGS.get(dep)
+        if flag is not None and not getattr(args, flag):
+            raise UsageError(f"{approach.value} requires --{flag.replace('_', '-')}")
 
     store = None
     if args.gazetteer:

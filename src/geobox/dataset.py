@@ -24,7 +24,7 @@ from .geo import (
     geoinfo_to_obj,
 )
 from .metrics import Prediction
-from .netutil import atomic_write_text
+from .netutil import atomic_write_text, decode_json_line, gc_paused, jsonl_lines
 from .prompts import PromptKind
 from .reasoner import build_prompt
 
@@ -92,18 +92,20 @@ class LoadReport:
 def _mention_from_obj(obj: dict) -> Mention:
     # A mention has gold only when both coordinates are present.
     has_gold = obj.get("lat") is not None and obj.get("lon") is not None
-    return Mention(name=str(obj["name"]), gold=geoinfo_from_obj(obj) if has_gold else None)
+    return Mention(str(obj["name"]), geoinfo_from_obj(obj) if has_gold else None)
 
 
 def record_from_obj(obj: dict) -> LocationRecord:
     """Build a LocationRecord from one decoded JSONL object."""
+    # Positional, in field order: arguments are evaluated left to right,
+    # so a malformed object fails on its first bad field in that order.
     return LocationRecord(
-        record_id=str(obj["id"]),
-        description=str(obj["description"]),
-        gold_bbox=bbox_from_obj(obj["gold_bbox"]),
-        mentions=tuple(_mention_from_obj(m) for m in obj.get("mentions", [])),
-        gold_name=str(obj["gold_name"]) if obj.get("gold_name") is not None else None,
-        gold_country=str(obj["gold_country"]) if obj.get("gold_country") is not None else None,
+        str(obj["id"]),
+        str(obj["description"]),
+        bbox_from_obj(obj["gold_bbox"]),
+        tuple([_mention_from_obj(m) for m in obj.get("mentions", [])]),
+        str(obj["gold_name"]) if obj.get("gold_name") is not None else None,
+        str(obj["gold_country"]) if obj.get("gold_country") is not None else None,
     )
 
 
@@ -139,13 +141,10 @@ def load_dataset(path: str | os.PathLike) -> tuple[list[LocationRecord], LoadRep
     report = LoadReport()
     seen_ids: set[str] = set()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        with open(path, "r", encoding="utf-8") as fh, gc_paused():
+            for line_no, line in jsonl_lines(fh):
                 try:
-                    record = record_from_obj(json.loads(line))
+                    record = record_from_obj(decode_json_line(line))
                 except (ValueError, KeyError, TypeError) as exc:
                     report.skipped.append((line_no, str(exc)))
                     logger.warning("dataset %s line %d skipped: %s", path, line_no, exc)
@@ -300,22 +299,24 @@ def prediction_to_obj(pred: Prediction) -> dict:
 
 
 def prediction_from_obj(obj: dict) -> Prediction:
-    bbox = bbox_from_obj(obj["bbox"]) if obj.get("bbox") else None
-    point = None
-    if obj.get("point"):
-        lat, lon = obj["point"]
-        point = GeoPoint(lat=float(lat), lon=float(lon))
+    bbox = obj.get("bbox")
+    bbox = bbox_from_obj(bbox) if bbox else None
+    point = obj.get("point")
+    if point:
+        lat, lon = point
+        point = GeoPoint(float(lat), float(lon))
+    else:
+        point = None
+    # Positional, in field order (see record_from_obj).
     return Prediction(
-        record_id=str(obj["record_id"]),
-        approach=str(obj.get("approach", "")),
-        model=str(obj.get("model", "")),
-        bbox=bbox,
-        point=point,
-        raw_text=str(obj.get("raw_text", "")),
-        recalled=tuple(
-            (str(name), geoinfo_from_obj(info)) for name, info in obj.get("recalled", [])
-        ),
-        flags=tuple(str(f) for f in obj.get("flags", [])),
+        str(obj["record_id"]),
+        str(obj.get("approach", "")),
+        str(obj.get("model", "")),
+        bbox,
+        point,
+        str(obj.get("raw_text", "")),
+        tuple([(str(name), geoinfo_from_obj(info)) for name, info in obj.get("recalled", [])]),
+        tuple([str(f) for f in obj.get("flags", [])]),
     )
 
 
@@ -326,15 +327,13 @@ def write_predictions(predictions: Iterable[Prediction], path: str | os.PathLike
 
 
 def read_predictions(path: str | os.PathLike) -> list[Prediction]:
+    """Read predictions from JSONL; the first bad line raises DataError with its number."""
     predictions = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        with open(path, "r", encoding="utf-8") as fh, gc_paused():
+            for line_no, line in jsonl_lines(fh):
                 try:
-                    predictions.append(prediction_from_obj(json.loads(line)))
+                    predictions.append(prediction_from_obj(decode_json_line(line)))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise DataError(f"predictions {path} line {line_no}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:

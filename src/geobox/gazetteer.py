@@ -25,6 +25,9 @@ from .netutil import (
     ServiceClient,
     atomic_write_text,
     check_http_url,
+    decode_json_line,
+    gc_paused,
+    jsonl_lines,
     request_json,
 )
 
@@ -74,13 +77,10 @@ class GazetteerStore:
         """
         store = cls()
         skipped = 0
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        with open(path, "r", encoding="utf-8") as fh, gc_paused():
+            for line_no, line in jsonl_lines(fh):
                 try:
-                    store.add(geoinfo_from_obj(json.loads(line)))
+                    store.add(geoinfo_from_obj(decode_json_line(line)))
                 except (ValueError, KeyError, TypeError) as exc:
                     skipped += 1
                     logger.warning("gazetteer %s line %d skipped: %s", path, line_no, exc)

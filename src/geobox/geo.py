@@ -19,6 +19,10 @@ from dataclasses import dataclass
 # IUGG mean earth radius.
 EARTH_RADIUS_KM = 6371.0088
 
+# Degrees to radians: ``x * _DEG_TO_RAD`` is ``math.radians(x)`` bit for
+# bit (CPython computes it as this same product), without the call.
+_DEG_TO_RAD = math.pi / 180.0
+
 
 def _check_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
@@ -141,12 +145,14 @@ def bbox_from_obj(vals) -> BoundingBox:
 
 def geoinfo_from_obj(obj: dict) -> GeoInfo:
     """Decode the object ``geoinfo_to_obj`` writes; raises KeyError or ValueError."""
+    # Positional, in field order: arguments are evaluated left to right,
+    # so a malformed object fails on its first bad field in that order.
     return GeoInfo(
-        name=str(obj["name"]),
-        center=GeoPoint(lat=float(obj["lat"]), lon=float(obj["lon"])),
-        country=str(obj["country"]) if obj.get("country") is not None else None,
-        bbox=bbox_from_obj(obj["bbox"]) if obj.get("bbox") is not None else None,
-        source_id=str(obj["id"]) if obj.get("id") is not None else None,
+        str(obj["name"]),
+        GeoPoint(float(obj["lat"]), float(obj["lon"])),
+        str(obj["country"]) if obj.get("country") is not None else None,
+        bbox_from_obj(obj["bbox"]) if obj.get("bbox") is not None else None,
+        str(obj["id"]) if obj.get("id") is not None else None,
     )
 
 
@@ -156,13 +162,20 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     Uses the haversine formula on a sphere of radius ``EARTH_RADIUS_KM``.
     Symmetric, zero for identical points, and stable for antipodal pairs.
     """
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlam = math.radians(b.lon - a.lon)
+    return _haversine_km(a.lat, a.lon, b.lat, b.lon)
+
+
+def _haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """``haversine_km`` on plain degrees, for callers that hold no GeoPoint."""
+    phi1 = lat1 * _DEG_TO_RAD
+    phi2 = lat2 * _DEG_TO_RAD
+    dphi = (lat2 - lat1) * _DEG_TO_RAD
+    dlam = (lon2 - lon1) * _DEG_TO_RAD
     h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    # Rounding can push h a hair past 1 for antipodal points.
-    h = min(1.0, max(0.0, h))
+    # Rounding can push h a hair past 1 for antipodal points. Same result
+    # as min(1.0, max(0.0, h)), without the two calls.
+    h = h if h > 0.0 else 0.0
+    h = h if h < 1.0 else 1.0
     if h <= 0.5:
         rest = 1.0 - h
     else:
@@ -193,8 +206,8 @@ def bbox_area_km2(box: BoundingBox) -> float:
     R^2 * (lon_max - lon_min in radians) * (sin lat_max - sin lat_min).
     Degenerate boxes have zero area.
     """
-    dlam = math.radians(box.lon_max - box.lon_min)
-    band = math.sin(math.radians(box.lat_max)) - math.sin(math.radians(box.lat_min))
+    dlam = (box.lon_max - box.lon_min) * _DEG_TO_RAD
+    band = math.sin(box.lat_max * _DEG_TO_RAD) - math.sin(box.lat_min * _DEG_TO_RAD)
     return EARTH_RADIUS_KM * EARTH_RADIUS_KM * dlam * band
 
 
@@ -205,10 +218,12 @@ def bbox_intersection(a: BoundingBox, b: BoundingBox) -> BoundingBox | None:
     have strictly positive width and height. Commutative, and idempotent
     for boxes with positive area.
     """
-    lon_lo = max(a.lon_min, b.lon_min)
-    lon_hi = min(a.lon_max, b.lon_max)
-    lat_lo = max(a.lat_min, b.lat_min)
-    lat_hi = min(a.lat_max, b.lat_max)
+    # max(x, y) and min(x, y) without the calls: each keeps x unless y is
+    # strictly beyond it, so ties (0.0 against -0.0) pick the same operand.
+    lon_lo = b.lon_min if b.lon_min > a.lon_min else a.lon_min
+    lon_hi = b.lon_max if b.lon_max < a.lon_max else a.lon_max
+    lat_lo = b.lat_min if b.lat_min > a.lat_min else a.lat_min
+    lat_hi = b.lat_max if b.lat_max < a.lat_max else a.lat_max
     if lon_lo >= lon_hi or lat_lo >= lat_hi:
         return None
     return BoundingBox(lon_lo, lat_lo, lon_hi, lat_hi)

@@ -20,10 +20,10 @@ from .geo import (
     BoundingBox,
     GeoInfo,
     GeoPoint,
+    _haversine_km,
     bbox_area_km2,
     bbox_centroid,
     bbox_intersection,
-    haversine_km,
 )
 
 
@@ -147,13 +147,19 @@ def distance_error_km(prediction: Prediction, gold: BoundingBox) -> float:
     Raises:
         ValueError: if the prediction is uncovered.
     """
-    if prediction.bbox is not None:
-        pred_center = bbox_centroid(prediction.bbox)
+    # The centroids as bbox_centroid computes them, kept as plain floats.
+    box = prediction.bbox
+    if box is not None:
+        lat = (box.lat_min + box.lat_max) / 2.0
+        lon = (box.lon_min + box.lon_max) / 2.0
     elif prediction.point is not None:
-        pred_center = prediction.point
+        lat = prediction.point.lat
+        lon = prediction.point.lon
     else:
         raise ValueError("distance is undefined for an uncovered prediction")
-    return haversine_km(pred_center, bbox_centroid(gold))
+    return _haversine_km(
+        lat, lon, (gold.lat_min + gold.lat_max) / 2.0, (gold.lon_min + gold.lon_max) / 2.0
+    )
 
 
 def checked_predictions(

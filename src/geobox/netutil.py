@@ -6,20 +6,22 @@ keyed by request identity, a token rate limiter, and bounded retries with
 exponential backoff on transient failures. Kept service-agnostic so the
 two clients stay thin. The transport is the standard library's
 ``http.client``, imported on the first request: it imports ``ssl``, which
-commands that send no request never need.
+commands that send no request never need. The JSONL line reading shared
+by every loader in the package lives here too.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import gc
 import json
 import logging
 import os
 import threading
 import time
 import urllib.parse
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:
     import http.client
@@ -69,6 +71,52 @@ class RateLimiter:
             time.sleep(wait)
 
 
+# --- JSONL reading ---------------------------------------------------------
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+@contextlib.contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector; restore its previous state on exit.
+
+    Decoded JSON rows and the values built from them hold no reference
+    cycles, so nothing waits on the collector while it is off; what is
+    saved is its repeated passes over a heap that grows with every line.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def jsonl_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, stripped line)`` for each non-blank line, counting from 1."""
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line:
+            yield line_no, line
+
+
+def decode_json_line(line: str) -> Any:
+    """``json.loads(line)``, with the same value and the same errors, but cheaper.
+
+    ``raw_decode`` skips ``json.loads``'s per-call checks. Anything it
+    cannot take whole (an error, trailing characters, a BOM, leading
+    whitespace) goes through ``json.loads``, so errors keep its messages.
+    """
+    try:
+        obj, end = _raw_decode(line)
+    except ValueError:
+        end = -1
+    if end == len(line):
+        return obj
+    return json.loads(line)
+
+
 class JsonlCache:
     """Append-only key/value cache persisted as JSONL.
 
@@ -96,13 +144,13 @@ class JsonlCache:
         assert self._path is not None
         skipped = 0
         raw = b"\n"  # an empty file has no torn tail
-        with open(self._path, "rb") as fh:
+        with open(self._path, "rb") as fh, gc_paused():
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line.decode("utf-8"))  # per line: a torn one is skipped
+                    obj = decode_json_line(line.decode("utf-8"))  # per line: a torn one is skipped
                     key = obj["key"]
                     value = obj["value"]
                 except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):

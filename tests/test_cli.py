@@ -150,10 +150,14 @@ def test_bad_run_options_exit_1(capsys, tmp_path, records, dataset_path, chat_st
     preds = tmp_path / "p.jsonl"
     assert main(_run_args(dataset_path, chat_stub, preds, "--parallelism", "0")) == EXIT_USAGE
     assert main(_run_args(dataset_path, chat_stub, preds, "--limit", "0")) == EXIT_USAGE
+    capsys.readouterr()
     base = _run_args(dataset_path, chat_stub, preds)
     base[2] = "geoaug-oracle"  # needs a gazetteer store
     assert main(base) == EXIT_USAGE
-    assert "gazetteer" in capsys.readouterr().err or True
+    assert capsys.readouterr().err == "error: geoaug-oracle requires --gazetteer\n"
+    base[2] = "geoaug-remote"  # needs a geocoder
+    assert main(base) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: geoaug-remote requires --geocoder-endpoint\n"
 
 
 @pytest.mark.parametrize("flag", ["--retries", "--backoff"])
