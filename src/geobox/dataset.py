@@ -8,11 +8,10 @@ optionally carrying its own gold coordinates for oracle recall.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .geo import (
     BoundingBox,
@@ -24,7 +23,7 @@ from .geo import (
     geoinfo_to_obj,
 )
 from .metrics import Prediction
-from .netutil import atomic_write_text, decode_json_line, gc_paused, jsonl_lines
+from .netutil import atomic_write_jsonl, decode_json_line, gc_paused, jsonl_lines
 from .prompts import PromptKind
 from .reasoner import build_prompt
 
@@ -167,8 +166,7 @@ def load_dataset(path: str | os.PathLike) -> tuple[list[LocationRecord], LoadRep
 
 def write_dataset(records: Iterable[LocationRecord], path: str | os.PathLike) -> None:
     """Write records as JSONL, atomically: all lines or the old file."""
-    lines = [json.dumps(record_to_obj(r), ensure_ascii=False) for r in records]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    atomic_write_jsonl(path, (record_to_obj(r) for r in records))
 
 
 def golds_by_id(records: Iterable[LocationRecord]) -> dict[str, BoundingBox]:
@@ -260,25 +258,26 @@ def export_finetune_jsonl(
         raise ValueError(f"unsupported tuning export approach {approach!r}")
 
     stats = ExportStats()
-    lines = []
-    for record in records:
-        recalled = []
-        if kind is PromptKind.GEO_AUGMENTED_BOX:
-            recalled = [(m.name, m.gold) for m in record.mentions if m.gold is not None]
-            if not recalled:
-                stats.skipped += 1
-                continue
-        request = build_prompt(
-            kind, model="", description=record.description, recalled=recalled, few_shot=False
-        )
-        row = {
-            "system": request.system,
-            "user": request.user,
-            "assistant": format_bbox(record.gold_bbox),
-        }
-        lines.append(json.dumps(row, ensure_ascii=False))
-        stats.written += 1
-    atomic_write_text(out_path, "".join(line + "\n" for line in lines))
+
+    def rows() -> Iterator[dict]:
+        for record in records:
+            recalled = []
+            if kind is PromptKind.GEO_AUGMENTED_BOX:
+                recalled = [(m.name, m.gold) for m in record.mentions if m.gold is not None]
+                if not recalled:
+                    stats.skipped += 1
+                    continue
+            request = build_prompt(
+                kind, model="", description=record.description, recalled=recalled, few_shot=False
+            )
+            yield {
+                "system": request.system,
+                "user": request.user,
+                "assistant": format_bbox(record.gold_bbox),
+            }
+            stats.written += 1
+
+    atomic_write_jsonl(out_path, rows())
     return stats
 
 
@@ -299,6 +298,8 @@ def prediction_to_obj(pred: Prediction) -> dict:
 
 
 def prediction_from_obj(obj: dict) -> Prediction:
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
     bbox = obj.get("bbox")
     bbox = bbox_from_obj(bbox) if bbox else None
     point = obj.get("point")
@@ -322,8 +323,7 @@ def prediction_from_obj(obj: dict) -> Prediction:
 
 def write_predictions(predictions: Iterable[Prediction], path: str | os.PathLike) -> None:
     """Persist predictions as JSONL (atomically: all lines or none)."""
-    lines = [json.dumps(prediction_to_obj(p), ensure_ascii=False) for p in predictions]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    atomic_write_jsonl(path, (prediction_to_obj(p) for p in predictions))
 
 
 def read_predictions(path: str | os.PathLike) -> list[Prediction]:

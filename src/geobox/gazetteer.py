@@ -23,7 +23,7 @@ from .geo import BoundingBox, GeoInfo, GeoPoint, geoinfo_from_obj, geoinfo_to_ob
 from .netutil import (
     ProtocolError,
     ServiceClient,
-    atomic_write_text,
+    atomic_write_jsonl,
     check_http_url,
     decode_json_line,
     gc_paused,
@@ -90,8 +90,7 @@ class GazetteerStore:
 
     def save(self, path: str | os.PathLike) -> None:
         """Write the store as JSONL, atomically: the whole table or the old file."""
-        lines = [json.dumps(geoinfo_to_obj(info), ensure_ascii=False) for info in self]
-        atomic_write_text(path, "".join(line + "\n" for line in lines))
+        atomic_write_jsonl(path, (geoinfo_to_obj(info) for info in self))
 
 
 class GeocoderClient(ServiceClient):

@@ -6,8 +6,8 @@ keyed by request identity, a token rate limiter, and bounded retries with
 exponential backoff on transient failures. Kept service-agnostic so the
 two clients stay thin. The transport is the standard library's
 ``http.client``, imported on the first request: it imports ``ssl``, which
-commands that send no request never need. The JSONL line reading shared
-by every loader in the package lives here too.
+commands that send no request never need. The JSONL line reading and
+writing shared by every loader and writer in the package live here too.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 import threading
 import time
 import urllib.parse
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:
     import http.client
@@ -71,9 +71,11 @@ class RateLimiter:
             time.sleep(wait)
 
 
-# --- JSONL reading ---------------------------------------------------------
+# --- JSONL reading and writing ---------------------------------------------
 
 _raw_decode = json.JSONDecoder().raw_decode
+# ``json.dumps(x, ensure_ascii=False)`` builds this same encoder on every call.
+_encode_line = json.JSONEncoder(ensure_ascii=False).encode
 
 
 @contextlib.contextmanager
@@ -151,14 +153,11 @@ class JsonlCache:
                     continue
                 try:
                     obj = decode_json_line(line.decode("utf-8"))  # per line: a torn one is skipped
-                    key = obj["key"]
-                    value = obj["value"]
-                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
+                    # Last write wins, matching append order.
+                    self._data[obj["key"]] = obj["value"]
+                except (ValueError, KeyError, TypeError):  # bad UTF-8 and JSON are ValueErrors too
                     skipped += 1
                     logger.warning("skipping corrupt cache line %d in %s", line_no, self._path)
-                    continue
-                # Last write wins, matching append order.
-                self._data[key] = value
         self._torn_tail = not raw.endswith(b"\n")
         if skipped:
             logger.warning("cache %s: %d corrupt line(s) ignored", self._path, skipped)
@@ -176,8 +175,7 @@ class JsonlCache:
                     if self._torn_tail:
                         fh.write("\n")
                         self._torn_tail = False
-                    fh.write(json.dumps({"key": key, "value": value}, ensure_ascii=False))
-                    fh.write("\n")
+                    fh.write(_encode_line({"key": key, "value": value}) + "\n")
                     fh.flush()
                     os.fsync(fh.fileno())
             self._data[key] = value
@@ -425,12 +423,13 @@ class ServiceClient:
         return result
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write a file via a temp sibling + rename, so readers never see a torn file.
+@contextlib.contextmanager
+def _atomic_file(path: str | os.PathLike) -> Iterator[IO[str]]:
+    """Open a UTF-8 temp sibling of ``path``; on clean exit, fsync it and rename it over ``path``.
 
     Each call writes its own uniquely named temp file, so concurrent
     writers of one path never share one; the temp file is removed if the
-    write fails.
+    write fails, and the old file is left as it was.
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
@@ -439,7 +438,7 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     tmp = f"{path}.tmp.{os.urandom(8).hex()}"
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -447,3 +446,21 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | os.PathLike, text: str) -> None:
+    """Write a file via a temp sibling + rename, so readers never see a torn file."""
+    with _atomic_file(path) as fh:
+        fh.write(text)
+
+
+def atomic_write_jsonl(path: str | os.PathLike, rows: Iterable[Any]) -> None:
+    """Write one JSON line per row, atomically: every line or the old file.
+
+    Rows are encoded and written one at a time, so the write holds one
+    line in memory, not the file. Each line is
+    ``json.dumps(row, ensure_ascii=False)``.
+    """
+    with _atomic_file(path) as fh:
+        for row in rows:
+            fh.write(_encode_line(row) + "\n")

@@ -11,6 +11,7 @@ geometry).
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -203,7 +204,9 @@ def run_experiment(
     matches the input order regardless of degree. A record whose
     processing raises a transport/protocol error becomes an uncovered
     prediction with the failure flagged — one dead record must not kill
-    a thousand-record run.
+    a thousand-record run. Any other exception stops the run: no record
+    is started after it, and the exception of the earliest failed record
+    is raised once the records in flight finish.
 
     Raises:
         ValueError: missing dependencies for the approach, or
@@ -227,8 +230,26 @@ def run_experiment(
                 flags=(_failure_flag(exc),),
             )
 
+    # Each worker claims the next index until none is left, so no Future
+    # is made per record; ``next`` on a shared count is atomic under the
+    # GIL. A worker that raises stops every worker from claiming more.
+    predictions: list = [None] * len(records)
+    claims = itertools.count()
+    errors: dict[int, BaseException] = {}
+
+    def work() -> None:
+        while not errors and (i := next(claims)) < len(records):
+            try:
+                predictions[i] = grounded(records[i])
+            except BaseException as exc:
+                errors[i] = exc
+                return
+
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        predictions = list(pool.map(grounded, records))
+        for _ in range(min(parallelism, len(records))):
+            pool.submit(work)
+    if errors:
+        raise errors[min(errors)]
 
     report = aggregate(predictions, golds_by_id(records), label=config.label)
     return predictions, report

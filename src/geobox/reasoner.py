@@ -168,11 +168,11 @@ def _order_by_appearance(
 _MENTION_RE = re.compile(
     rf"([^.!?:;\n]+?)\s+has a longitude of\s+({_NUM})\s+and latitude of\s+({_NUM})"
 )
-# The same pattern, tried only just after a boundary character. If a
-# match starts at p and text[p-1] is not a boundary, one also starts at
-# p-1; so past the search position the leftmost match always starts just
-# after a boundary, and each clause is scanned from its start only.
-_AFTER_BOUNDARY_RE = re.compile(rf"(?<=[.!?:;\n]){_MENTION_RE.pattern}")
+# ``_MENTION_RE`` split at its literal: the name group's stop characters
+# before it, and the numbers after it.
+_LITERAL = "has a longitude of"
+_BOUNDARIES = ".!?:;\n"
+_TAIL_RE = re.compile(rf"\s+({_NUM})\s+and latitude of\s+({_NUM})")
 
 
 def extract_mentions(text: str) -> list[RecalledMention]:
@@ -181,20 +181,54 @@ def extract_mentions(text: str) -> list[RecalledMention]:
     Out-of-range coordinates are kept (``valid=False``); cleaning is
     limited to trimming whitespace and markdown emphasis around names.
     Finds what ``_MENTION_RE.finditer`` finds, in time linear in the
-    text's length, save for a whitespace run inside one clause, which
-    costs the square of the run's length.
+    text's length: each literal is found once, the numbers after it are
+    matched forwards, and only then is the name read backwards.
     """
     mentions = []
-    pos = 0
-    while match := _MENTION_RE.match(text, pos) or _AFTER_BOUNDARY_RE.search(text, pos):
-        pos = match.end()
-        name = match.group(1).strip().strip("*`_").strip()
-        if not name:
+    pos = scan = 0
+    while (lit := text.find(_LITERAL, scan)) >= 0:
+        scan = lit + 1
+        # Numbers first: a failed tail stops at the next literal, while a
+        # name can reach back to ``pos``, which is only read again once a
+        # match moves ``pos`` past it.
+        tail = _TAIL_RE.match(text, lit + len(_LITERAL))
+        if tail is None:
             continue
-        mentions.append(
-            RecalledMention(name=name, lon=float(match.group(2)), lat=float(match.group(3)))
-        )
+        span = _name_span(text, pos, lit)
+        if span is None:
+            continue
+        pos = scan = tail.end()
+        name = text[span[0] : span[1]].strip().strip("*`_").strip()
+        if name:
+            mentions.append(
+                RecalledMention(name=name, lon=float(tail.group(1)), lat=float(tail.group(2)))
+            )
     return mentions
+
+
+def _name_span(text: str, pos: int, lit: int) -> tuple[int, int] | None:
+    """Where ``_MENTION_RE``'s name lies in a match from ``pos`` with its literal at ``lit``.
+
+    The name ends where the whitespace before ``lit`` starts, and reaches
+    back to the last boundary character or to ``pos``, whichever is
+    later; with a boundary right before that whitespace, it can only be
+    one character of it. None when there is no name. Of the literals with
+    numbers after them, the first one with a name gives the leftmost
+    match from ``pos``, since no later literal's name starts earlier.
+    """
+    end = lit
+    while end > pos and text[end - 1].isspace():
+        end -= 1
+    if end == lit:
+        return None
+    if end > pos and text[end - 1] not in _BOUNDARIES:
+        return max(pos, *[text.rfind(c, pos, end) + 1 for c in _BOUNDARIES]), end
+    # Only one whitespace character of the run itself can be the name,
+    # and it needs at least one more after it; a newline is a boundary.
+    start = end
+    while start < lit - 1 and text[start] == "\n":
+        start += 1
+    return (start, start + 1) if start < lit - 1 else None
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,8 @@ RECALLER_TWO_MENTIONS = (
 RECALLER_OUT_OF_RANGE = "South America has a longitude of -13.591 and latitude of 109.712."
 
 # Pieces that model replies are built from in the extraction property
-# tests: clause boundaries, whitespace, tuple punctuation, signed
+# tests: clause boundaries, whitespace (with characters only Unicode
+# calls whitespace, and newlines inside runs), tuple punctuation, signed
 # decimals (some not plain, like "1." and ".5"), words and the fixed
 # mention-sentence phrases.
 REPLY_TOKENS = (
@@ -91,6 +92,11 @@ REPLY_TOKENS = (
     " ",
     "  ",
     "\t",
+    "\x1c",
+    "\u00a0",
+    "\u2028",
+    " \n ",
+    "\n\n",
     "(",
     ")",
     ",",

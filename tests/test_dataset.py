@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -291,6 +292,23 @@ def test_prediction_file_round_trip(tmp_path):
     path = tmp_path / "preds.jsonl"
     predictions = _predictions()
     write_predictions(predictions, path)
+    assert read_predictions(path) == predictions
+
+
+def test_write_predictions_holds_one_line_at_a_time(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    raw_text = "Lake Geneva lies between Lausanne and \u00c9vian. " * 2000  # about 100 KB
+    predictions = [
+        Prediction(record_id=f"r{i:03d}", approach="direct", model="m", raw_text=raw_text)
+        for i in range(200)
+    ]
+    tracemalloc.start()
+    try:
+        write_predictions(predictions, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
     assert read_predictions(path) == predictions
 
 

@@ -4,7 +4,8 @@
 (``netutil.decode_json_line``) with the cyclic GC paused. Each malformed
 line must still give the error text and line number that the earlier
 ``json.loads`` loop with keyword-built values gave, copied here as the
-reference; and the GC must be left as the caller had it, whether the
+reference (except a line that is not an object, which that loop let
+escape as ``AttributeError``); and the GC must be left as the caller had it, whether the
 load succeeds or raises.
 """
 
@@ -152,6 +153,9 @@ BAD_PREDICTION_LINES = {
 }
 
 
+NON_OBJECT_TYPES = {"empty-list": "list", "null": "NoneType", "number": "int", "string": "str"}
+
+
 def _write(path, lines, newline="\n"):
     path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
 
@@ -162,6 +166,12 @@ def test_bad_prediction_line_fails_as_with_json_loads(tmp_path, case, newline):
     path = tmp_path / "preds.jsonl"
     _write(path, [_PRED_LINE.replace("p1", "p0"), "", "   ", BAD_PREDICTION_LINES[case], _PRED_LINE], newline)
     want = ref_read_predictions(path)
+    if case in NON_OBJECT_TYPES:
+        # The earlier loop let these escape as AttributeError; now they
+        # are data errors with their line number.
+        want = DataError(
+            f"predictions {path} line 4: expected a JSON object, got {NON_OBJECT_TYPES[case]}"
+        )
     assert isinstance(want, Exception)
     with pytest.raises(type(want)) as got:
         read_predictions(path)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,9 +6,11 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import geobox
-from geobox.netutil import JsonlCache, ServiceClient, atomic_write_text
+from geobox.netutil import JsonlCache, ServiceClient, atomic_write_jsonl, atomic_write_text
 
 
 def test_put_after_torn_tail_starts_a_new_line(tmp_path):
@@ -36,6 +39,64 @@ def test_line_torn_inside_a_utf8_character_is_skipped(tmp_path, caplog):
     assert path.read_bytes().endswith(b'\xc3\n{"key": "c", "value": 3}\n')
     reloaded = JsonlCache(path)
     assert (reloaded.get("a"), reloaded.get("b"), reloaded.get("c")) == ("São Paulo", None, 3)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['{"key": "b", "value": ' + "9" * 5000 + "}", '{"key": ["b"], "value": 2}'],
+    ids=["huge-int", "unhashable-key"],
+)
+def test_undecodable_line_is_skipped(tmp_path, caplog, line):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(f'{{"key": "a", "value": 1}}\n{line}\n{{"key": "c", "value": 3}}\n')
+    cache = JsonlCache(path)
+    assert (cache.get("a"), cache.get("c")) == (1, 3)
+    assert [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()] == [
+        f"skipping corrupt cache line 2 in {path}"
+    ]
+    before = path.read_bytes()
+    cache.put("d", 4)
+    assert path.read_bytes() == before + b'{"key": "d", "value": 4}\n'
+    assert JsonlCache(path).get("d") == 4
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(st.characters(exclude_categories=["Cs"])),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(st.lists(_json_values, max_size=6))
+@example([])
+@example([{"name": "S\u00e3o Paulo \u2028\x00\x1f", "v": [-0.0, float("nan"), float("inf")]}])
+@example([-0.0, float("-inf"), "\ud7ff\ue000\U0010ffff", [[{}]], {"": [None]}])
+def test_atomic_write_jsonl_writes_json_dumps_lines(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("jsonl") / "out.jsonl"
+    atomic_write_jsonl(path, iter(rows))
+    want = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_failed_jsonl_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    atomic_write_jsonl(path, [{"a": 1}, {"b": "\u00e9"}])
+    before = path.read_bytes()
+
+    def rows():
+        yield {"c": 3}
+        yield {"d": 4}
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        atomic_write_jsonl(path, rows())
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.jsonl"]
 
 
 def test_concurrent_atomic_writes_to_one_path(tmp_path):

@@ -1,7 +1,9 @@
+import sys
+
 import pytest
 
 from fixtures import RECALLER_OUT_OF_RANGE, echo_gold_script, make_fixture_records
-from geobox import ChatClient, GeocoderClient
+from geobox import BoundingBox, ChatClient, GeocoderClient, LocationRecord
 from geobox.pipeline import Approach, ExperimentConfig, RunDeps, run_experiment, run_record
 
 # --- plumbing ----------------------------------------------------------------
@@ -90,6 +92,66 @@ def test_parallel_run_keeps_input_order(records, chat_stub):
     )
     assert parallel == serial
     assert parallel_report == serial_report
+
+
+class _FailingChat:
+    """Answers every request with no box, and raises on the records listed in ``fail``."""
+
+    def __init__(self, records, fail):
+        self._fail = {records[i].description for i in fail}
+        self.asked = []
+
+    def complete(self, request):
+        description = request.user.removeprefix("Input: ").removesuffix(" \nOutput:")
+        self.asked.append(description)
+        if description in self._fail:
+            raise RuntimeError(f"failed on {description}")
+        return "no box"
+
+
+def test_unexpected_error_stops_claiming_records(records):
+    chat = _FailingChat(records, fail=[2])
+    with pytest.raises(RuntimeError) as exc:
+        run_experiment(ExperimentConfig(Approach.DIRECT, "m"), records, RunDeps(chat=chat))
+    assert str(exc.value) == f"failed on {records[2].description}"
+    assert chat.asked == [r.description for r in records[:3]]
+
+
+def test_unexpected_errors_raise_the_earliest_record(records):
+    chat = _FailingChat(records, fail=range(len(records)))
+    with pytest.raises(RuntimeError) as exc:
+        run_experiment(
+            ExperimentConfig(Approach.DIRECT, "m"), records, RunDeps(chat=chat), parallelism=4
+        )
+    assert str(exc.value) == f"failed on {records[0].description}"
+    assert len(chat.asked) <= 4
+
+
+def test_parallel_workers_ground_each_record_once_in_order():
+    records = [
+        LocationRecord(f"r{i}", f"Place number {i}.", BoundingBox(0.0, 0.0, 1.0, 1.0))
+        for i in range(2000)
+    ]
+    chat = _FailingChat(records, fail=[])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        predictions, _ = run_experiment(
+            ExperimentConfig(Approach.DIRECT, "m"), records, RunDeps(chat=chat), parallelism=16
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert [p.record_id for p in predictions] == [r.record_id for r in records]
+    assert sorted(chat.asked) == sorted(r.description for r in records)
+
+
+def test_empty_record_set_runs(records):
+    chat = _FailingChat(records, fail=[])
+    predictions, report = run_experiment(
+        ExperimentConfig(Approach.DIRECT, "m"), [], RunDeps(chat=chat), parallelism=4
+    )
+    assert predictions == [] and chat.asked == []
+    assert report.n_covered == 0
 
 
 def test_transport_failure_becomes_uncovered_prediction(records, chat_stub):

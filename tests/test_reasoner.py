@@ -1,5 +1,7 @@
 import collections
 import concurrent.futures
+import re
+import sys
 import time
 
 import pytest
@@ -199,15 +201,47 @@ def test_extract_mentions_matches_finditer(text):
     assert extract_mentions(text) == _finditer_mentions(text)
 
 
+def _timed_extraction(text):
+    start = time.perf_counter()
+    got = extract_mentions(text)
+    return got, time.perf_counter() - start
+
+
 def test_long_clause_before_a_mention_extracts_fast():
     clause = "the lake lies east of the river and north of the hills " * 300
     text = clause + ". Paris has a longitude of 2.35 and latitude of 48.85."
     assert len(clause) > 16 * 1024
-    start = time.perf_counter()
-    got = extract_mentions(text)
-    elapsed = time.perf_counter() - start
+    got, elapsed = _timed_extraction(text)
     assert got == [RecalledMention(name="Paris", lon=2.35, lat=48.85)]
     assert elapsed < 0.5
+
+
+def test_long_whitespace_run_inside_a_clause_extracts_fast():
+    text = "Lake" + " " * (16 * 1024) + "Geneva has a longitude of 6.5 and latitude of 46.4."
+    got, elapsed = _timed_extraction(text)
+    assert got == [RecalledMention(name="Lake" + " " * (16 * 1024) + "Geneva", lon=6.5, lat=46.4)]
+    assert elapsed < 0.5
+
+
+def test_many_mention_phrases_with_failing_numbers_extract_fast():
+    text = "Paris has a longitude of about 2 and latitude of 48 " * 4000
+    got, elapsed = _timed_extraction(text)
+    assert got == []
+    assert elapsed < 0.5
+
+
+def test_boundary_and_space_runs_before_each_phrase_extract_fast():
+    text = ("x." + "\n" * 20 + " has a longitude of 1 and latitude of 2") * 3000
+    got, elapsed = _timed_extraction(text)
+    assert got == _finditer_mentions(text) == []
+    assert elapsed < 0.5
+
+
+def test_str_isspace_agrees_with_the_regex_whitespace_class():
+    # extract_mentions reads whitespace runs with str.isspace, while
+    # _MENTION_RE reads them with \s; the two must be one set.
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
 
 
 # --- response interpretation ----------------------------------------------------
