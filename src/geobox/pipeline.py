@@ -206,7 +206,8 @@ def run_experiment(
     prediction with the failure flagged — one dead record must not kill
     a thousand-record run. Any other exception stops the run: no record
     is started after it, and the exception of the earliest failed record
-    is raised once the records in flight finish.
+    is raised once the records in flight finish. So is a
+    ``KeyboardInterrupt`` received while the workers run.
 
     Raises:
         ValueError: missing dependencies for the approach, or
@@ -246,8 +247,16 @@ def run_experiment(
                 return
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        for _ in range(min(parallelism, len(records))):
-            pool.submit(work)
+        try:
+            for _ in range(min(parallelism, len(records))):
+                pool.submit(work)
+            pool.shutdown(wait=True)
+        except BaseException as exc:
+            # Ctrl-C lands in this thread, mostly while it waits for the
+            # workers; stop them claiming records too. Leaving the block
+            # still waits for the records in flight.
+            errors.setdefault(len(records), exc)
+            raise
     if errors:
         raise errors[min(errors)]
 

@@ -1,4 +1,6 @@
+import signal
 import sys
+import threading
 
 import pytest
 
@@ -115,6 +117,44 @@ def test_unexpected_error_stops_claiming_records(records):
         run_experiment(ExperimentConfig(Approach.DIRECT, "m"), records, RunDeps(chat=chat))
     assert str(exc.value) == f"failed on {records[2].description}"
     assert chat.asked == [r.description for r in records[:3]]
+
+
+class _InterruptingChat(_FailingChat):
+    """Sends SIGINT to the main thread on the 2nd request, then waits for it to land."""
+
+    def __init__(self, records):
+        super().__init__(records, fail=[])
+        self.interrupted = threading.Event()
+        self.worker = None
+
+    def complete(self, request):
+        reply = super().complete(request)
+        if len(self.asked) == 2:
+            self.worker = threading.current_thread()
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            self.interrupted.wait(5)
+        return reply
+
+
+@pytest.mark.skipif(
+    threading.current_thread() is not threading.main_thread(),
+    reason="SIGINT is handled in the main thread only",
+)
+def test_interrupt_stops_claiming_records(records):
+    chat = _InterruptingChat(records)
+
+    def on_sigint(signum, frame):
+        chat.interrupted.set()
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGINT, on_sigint)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(ExperimentConfig(Approach.DIRECT, "m"), records, RunDeps(chat=chat))
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    chat.worker.join(5)
+    assert chat.asked == [r.description for r in records[:2]]
 
 
 def test_unexpected_errors_raise_the_earliest_record(records):
