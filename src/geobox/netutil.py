@@ -4,10 +4,11 @@ Both remote services (geocoder, chat completions) subclass ``ServiceClient``:
 a pool of keep-alive connections, a persistent append-only JSONL cache
 keyed by request identity, a token rate limiter, and bounded retries with
 exponential backoff on transient failures. Kept service-agnostic so the
-two clients stay thin. The transport is the standard library's
-``http.client``, imported on the first request: it imports ``ssl``, which
-commands that send no request never need. The JSONL line reading and
-writing shared by every loader and writer in the package live here too.
+two clients stay thin. The transport speaks HTTP/1.1 on ``socket``
+itself, imported on the first request, and imports ``ssl`` only for an
+``https`` URL, so commands that send no request load neither. The JSONL
+line reading and writing shared by every loader and writer in the
+package live here too.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ import gc
 import json
 import logging
 import os
+import re
 import threading
 import time
 import urllib.parse
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:
-    import http.client
+    import socket
     import ssl
 
 logger = logging.getLogger(__name__)
@@ -128,16 +130,18 @@ class JsonlCache:
     ``path=None`` the cache is memory-only.
 
     Writes go to disk before the value is returned to the caller, so a
-    crash after a successful remote call never loses the response.
-    Thread-safe.
+    crash after a successful remote call never loses the response. The
+    file is opened for appending on the first ``put`` and held until
+    ``close``; a later ``put`` opens it again. Thread-safe.
     """
 
     def __init__(self, path: str | os.PathLike | None = None) -> None:
         self._path = os.fspath(path) if path is not None else None
         self._lock = threading.Lock()
         self._data: dict[str, Any] = {}
-        # A killed writer can leave a last line with no newline; the next
-        # append must not land on the end of that fragment.
+        self._file: IO[bytes] | None = None
+        # A killed writer, or a failed write, can leave a last line with no
+        # newline; the next append must not land on the end of that fragment.
         self._torn_tail = False
         if self._path is not None and os.path.exists(self._path):
             self._load()
@@ -168,106 +172,273 @@ class JsonlCache:
         return self._data.get(key)
 
     def put(self, key: str, value: Any) -> None:
+        line = (_encode_line({"key": key, "value": value}) + "\n").encode("utf-8")
         with self._lock:
             if self._path is not None:
-                os.makedirs(os.path.dirname(os.path.abspath(self._path)), exist_ok=True)
-                with open(self._path, "a", encoding="utf-8") as fh:
-                    if self._torn_tail:
-                        fh.write("\n")
-                        self._torn_tail = False
-                    fh.write(_encode_line({"key": key, "value": value}) + "\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
+                self._append(line)
             self._data[key] = value
+
+    def _append(self, line: bytes) -> None:
+        """Write ``line`` whole and fsync it; on failure, leave the tail marked torn."""
+        assert self._path is not None
+        if self._file is None:
+            os.makedirs(os.path.dirname(os.path.abspath(self._path)), exist_ok=True)
+            self._file = open(self._path, "ab", buffering=0)
+        if self._torn_tail:
+            line = b"\n" + line
+        self._torn_tail = True  # until the whole line is durable
+        view = memoryview(line)
+        while view:
+            view = view[self._file.write(view) :]
+        os.fsync(self._file.fileno())
+        self._torn_tail = False
+
+    def close(self) -> None:
+        """Close the append handle, if a ``put`` opened one."""
+        with self._lock:
+            file, self._file = self._file, None
+        if file is not None:
+            file.close()
 
 
 class ConnectionPool:
-    """Idle keep-alive HTTP(S) connections to the origin of ``url``, shared by threads.
+    """Idle keep-alive HTTP/1.1 connections to the origin of ``url``, shared by threads.
 
     A request takes an idle connection or opens a new one, and gives it
-    back once the whole reply is read, unless the server said it will
-    close it. So the pool holds at most as many connections as there were
-    requests in flight at once. A reused connection the server has closed
-    meanwhile is replaced by a new one once, without counting as a failed
-    attempt. HTTPS verifies certificates and host names with
+    back once the whole reply is read, unless the reply ends the
+    connection. So the pool holds at most as many connections as there
+    were requests in flight at once. A reused connection the server has
+    closed meanwhile is replaced by a new one once, without counting as a
+    failed attempt. HTTPS verifies certificates and host names with
     ``ssl.create_default_context()``. Redirects are returned, not followed.
+    A port that is not a number from 0 to 65535 raises ``ValueError``.
     """
 
     def __init__(self, url: str) -> None:
         parts = urllib.parse.urlsplit(url)
         self._https = parts.scheme == "https"
-        self._netloc = parts.netloc
+        default_port = 443 if self._https else 80
+        port = parts.port
+        if port is None:
+            port = default_port
+        host = parts.hostname or ""
+        if not host.isascii():
+            host = host.encode("idna").decode("ascii")
+        self._address = (host, port)
+        # The Host header http.client sends: IPv6 in brackets, the port only if not the default.
+        host_header = f"[{host}]" if ":" in host else host
+        if port != default_port:
+            host_header += f":{port}"
+        self._head = f"Host: {host_header}\r\nAccept-Encoding: identity\r\n"
         self._lock = threading.Lock()
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[tuple[socket.socket, IO[bytes]]] = []
         self._tls: ssl.SSLContext | None = None
 
     def request(
         self, method: str, url: str, body: bytes | None, headers: dict, timeout: float
-    ) -> tuple[http.client.HTTPResponse, bytes]:
-        """Send one request; return the response (already read) and its body.
+    ) -> tuple[int, dict[str, str], bytes]:
+        """Send one request; return the reply's status, headers and body.
 
         Only the path and query of ``url`` are used: the request goes to
-        the pool's origin. Raises ``OSError`` or
-        ``http.client.HTTPException`` when the exchange fails.
+        the pool's origin, in one write. Reply header names are
+        lower-cased. A CR, LF or NUL in a header, or a space, control or
+        non-ASCII character in the path or query, raises ``ValueError``
+        before any byte is sent. A failed exchange raises ``OSError``: a
+        malformed or truncated reply raises ``ConnectionError``.
         """
-        import http.client
-
         parts = urllib.parse.urlsplit(url)
         target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        message = self._message(method, target, headers, body)
         with self._lock:
             conn = self._idle.pop() if self._idle else None
         if conn is not None:
             try:
-                return self._exchange(conn, method, target, body, headers, timeout)
-            except (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError):
+                return self._exchange(conn, message, timeout)
+            except (ConnectionResetError, BrokenPipeError):
                 pass  # closed by the server while idle: reopen below
-        conn = self._open(timeout)
-        return self._exchange(conn, method, target, body, headers, timeout)
+        return self._exchange(self._open(timeout), message, timeout)
 
     def close(self) -> None:
         """Close the idle connections. The pool stays usable."""
         with self._lock:
             idle, self._idle = self._idle, []
         for conn in idle:
-            conn.close()
+            _close(conn)
 
-    def _open(self, timeout: float) -> http.client.HTTPConnection:
-        import http.client
+    def _message(self, method: str, target: str, headers: dict, body: bytes | None) -> bytes:
+        if _BAD_TARGET_CHAR.search(target):
+            raise ValueError(
+                "a request target may not hold spaces, control or non-ASCII characters: "
+                f"{target.partition('?')[0]!r}"
+            )
+        lines = [f"{method} {target} HTTP/1.1\r\n{self._head}"]
+        if body is not None:
+            lines.append(f"Content-Length: {len(body)}\r\n")
+        for name, value in headers.items():
+            line = f"{name}: {value}\r\n"
+            if _BAD_HEADER_CHAR.search(line, 0, len(line) - 2):
+                raise ValueError(f"header {name!r} holds a CR, LF or NUL character")
+            lines.append(line)
+        lines.append("\r\n")
+        head = "".join(lines).encode("latin-1")
+        return head + body if body else head
 
-        if not self._https:
-            return http.client.HTTPConnection(self._netloc, timeout=timeout)
-        if self._tls is None:
-            import ssl
+    def _open(self, timeout: float) -> tuple[socket.socket, IO[bytes]]:
+        import socket
 
-            self._tls = ssl.create_default_context()
-        return http.client.HTTPSConnection(self._netloc, timeout=timeout, context=self._tls)
+        sock = socket.create_connection(self._address, timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._https:
+                if self._tls is None:
+                    import ssl
+
+                    self._tls = ssl.create_default_context()
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        return sock, sock.makefile("rb")
 
     def _exchange(
-        self, conn, method, target, body, headers, timeout
-    ) -> tuple[http.client.HTTPResponse, bytes]:
-        conn.timeout = timeout
-        if conn.sock is not None:
-            conn.sock.settimeout(timeout)
+        self, conn: tuple[socket.socket, IO[bytes]], message: bytes, timeout: float
+    ) -> tuple[int, dict[str, str], bytes]:
+        sock, reader = conn
         try:
-            conn.request(method, target, body=body, headers=headers)
-            resp = conn.getresponse()
-            data = resp.read()
+            sock.settimeout(timeout)
+            sock.sendall(message)
+            status, headers, body, keep = _read_reply(reader)
         except BaseException:
-            conn.close()
+            _close(conn)
             raise
-        if resp.will_close:
-            conn.close()
-        else:
+        if keep:
             with self._lock:
                 self._idle.append(conn)
-        return resp, data
+        else:
+            _close(conn)
+        return status, headers, body
+
+
+# ``json.dumps(x, allow_nan=False)`` builds this same encoder on every call.
+_encode_body = json.JSONEncoder(allow_nan=False).encode
+# http.client's limits on a reply.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+# A body is read in pieces of at most this size, so a false length fails at EOF, not in malloc.
+_READ_PIECE = 1 << 20
+_BAD_TARGET_CHAR = re.compile(r"[^\x21-\x7e]")
+_BAD_HEADER_CHAR = re.compile(r"[\r\n\0]")
+_HEX = re.compile(rb"[0-9A-Fa-f]+")
+_LINE_ENDS = (b"\r\n", b"\n")
+
+
+def _close(conn: tuple[socket.socket, IO[bytes]]) -> None:
+    sock, reader = conn
+    reader.close()
+    sock.close()
+
+
+def _read_reply(reader: IO[bytes]) -> tuple[int, dict[str, str], bytes, bool]:
+    """Read one reply: ``(status, headers, body, whether the connection stays open)``."""
+    while True:
+        line = reader.readline(_MAX_LINE + 1)
+        if not line:  # as http.client's RemoteDisconnected
+            raise ConnectionResetError("connection closed without a reply")
+        if len(line) > _MAX_LINE:
+            raise ConnectionError(f"reply line longer than {_MAX_LINE} bytes")
+        version, _, rest = line.partition(b" ")
+        code = rest[:3]
+        if (
+            not version.startswith(b"HTTP/1.")
+            or not (len(code) == 3 and code.isdigit() and not code.startswith(b"0"))
+            or rest[3:4] not in (b" ", b"\r", b"\n", b"")
+        ):
+            raise ConnectionError(f"malformed status line {line[:100]!r}")
+        status = int(code)
+        headers = _read_headers(reader)
+        if status >= 200:  # a 1xx reply is interim: the final one follows
+            break
+    to_eof = False
+    if status in (204, 304):
+        body = b""
+    elif headers.get("transfer-encoding", "").lower() == "chunked":
+        body = _read_chunked(reader)
+    elif "content-length" in headers:
+        length = headers["content-length"]
+        if not (length.isascii() and length.isdigit()):
+            raise ConnectionError(f"bad Content-Length {length[:100]!r}")
+        body = _read_exact(reader, int(length))
+    else:
+        body, to_eof = reader.read(), True
+    keep = not (
+        to_eof or version == b"HTTP/1.0" or "close" in headers.get("connection", "").lower()
+    )
+    return status, headers, body, keep
+
+
+def _read_line(reader: IO[bytes]) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ConnectionError(f"reply line longer than {_MAX_LINE} bytes")
+    if not line:
+        raise ConnectionError("connection closed inside a reply")
+    return line
+
+
+def _read_headers(reader: IO[bytes]) -> dict[str, str]:
+    """Read header lines up to the blank line; names lower-cased."""
+    headers = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line in _LINE_ENDS:
+            return headers
+        name, colon, value = line.partition(b":")
+        if not colon:
+            raise ConnectionError(f"malformed header line {line[:100]!r}")
+        headers[name.strip().lower().decode("latin-1")] = value.strip().decode("latin-1")
+    raise ConnectionError(f"reply has more than {_MAX_HEADERS} headers")
+
+
+def _read_exact(reader: IO[bytes], size: int) -> bytes:
+    pieces = []
+    while size > 0:
+        piece = reader.read(min(size, _READ_PIECE))
+        if not piece:
+            raise ConnectionError("connection closed inside a reply body")
+        pieces.append(piece)
+        size -= len(piece)
+    return b"".join(pieces)
+
+
+def _read_chunked(reader: IO[bytes]) -> bytes:
+    pieces = []
+    while True:
+        size = _read_line(reader).partition(b";")[0].strip()  # a chunk extension is dropped
+        if not _HEX.fullmatch(size):
+            raise ConnectionError(f"bad chunk size {size[:100]!r}")
+        if int(size, 16) == 0:
+            _read_headers(reader)  # the trailer, dropped
+            return b"".join(pieces)
+        pieces.append(_read_exact(reader, int(size, 16)))
+        if _read_line(reader) not in _LINE_ENDS:
+            raise ConnectionError("chunk not followed by a line end")
 
 
 def check_http_url(url: str, what: str) -> None:
-    """Raise ValueError unless ``url`` is an ``http``/``https`` URL with a host."""
+    """Raise ValueError unless ``url`` is an ``http``/``https`` URL the transport can use.
+
+    It needs a host, a port from 0 to 65535 if it names one, and no user
+    name or password.
+    """
     parts = urllib.parse.urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"{what} must be an http:// or https:// URL with a host, got {url!r}")
+    if "@" in parts.netloc:  # not echoed: it may hold a password
+        raise ValueError(f"{what} must not carry a user name or password")
+    try:
+        parts.port
+    except ValueError as exc:  # not a number, or out of range
+        raise ValueError(f"{what} has a bad port: {exc}") from None
 
 
 def request_json(
@@ -289,7 +460,8 @@ def request_json(
     backoff (backoff_s * 2**attempt). Other HTTP errors, redirects
     included, fail immediately as ProtocolError: resending the same
     request cannot help. The rate limiter, when given, gates every
-    attempt including retries.
+    attempt including retries. Warnings and errors name the URL without
+    its query string, which may carry an API key.
 
     Returns:
         (decoded JSON body, number of retries performed).
@@ -299,14 +471,13 @@ def request_json(
             ``max_retries`` retries.
         ProtocolError: non-retryable HTTP status or a non-JSON body.
     """
-    import http.client
-
     if params:
         url += ("&" if "?" in url else "?") + urllib.parse.urlencode(params)
+    where = url.partition("?")[0]
     headers = {"User-Agent": "geobox", **(headers or {})}
     body = None
     if json_body is not None:
-        body = json.dumps(json_body, allow_nan=False).encode("utf-8")
+        body = _encode_body(json_body).encode("utf-8")
         headers["Content-Type"] = "application/json"
     last_failure = ""
     for attempt in range(max_retries + 1):
@@ -315,29 +486,31 @@ def request_json(
         if limiter is not None:
             limiter.acquire()
         try:
-            resp, data = pool.request(method, url, body, headers, timeout)
-        except (OSError, http.client.HTTPException) as exc:
+            status, reply_headers, data = pool.request(method, url, body, headers, timeout)
+        except OSError as exc:
             last_failure = f"{type(exc).__name__}: {exc}"
-            logger.warning("request to %s failed (%s), attempt %d", url, last_failure, attempt + 1)
-            continue
-        if resp.status in RETRYABLE_STATUSES:
-            last_failure = f"HTTP {resp.status}"
-            logger.warning("%s from %s, attempt %d", last_failure, url, attempt + 1)
-            continue
-        if 300 <= resp.status < 400:
-            raise ProtocolError(
-                f"HTTP {resp.status} from {url}: redirect to "
-                f"{resp.getheader('Location')!r} not followed"
+            logger.warning(
+                "request to %s failed (%s), attempt %d", where, last_failure, attempt + 1
             )
-        if resp.status >= 400:
+            continue
+        if status in RETRYABLE_STATUSES:
+            last_failure = f"HTTP {status}"
+            logger.warning("%s from %s, attempt %d", last_failure, where, attempt + 1)
+            continue
+        if 300 <= status < 400:
+            raise ProtocolError(
+                f"HTTP {status} from {where}: redirect to "
+                f"{reply_headers.get('location')!r} not followed"
+            )
+        if status >= 400:
             text = data.decode("utf-8", "replace")
-            raise ProtocolError(f"HTTP {resp.status} from {url}: {text[:200]}")
+            raise ProtocolError(f"HTTP {status} from {where}: {text[:200]}")
         try:
             return json.loads(data), attempt
-        except ValueError as exc:
-            raise ProtocolError(f"non-JSON response from {url}: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+            raise ProtocolError(f"non-JSON response from {where}: {exc}") from exc
     raise TransportError(
-        f"{url} still failing after {max_retries} retries (last: {last_failure})"
+        f"{where} still failing after {max_retries} retries (last: {last_failure})"
     )
 
 
@@ -383,8 +556,9 @@ class ServiceClient:
         self.stats: collections.Counter[str] = collections.Counter()
 
     def close(self) -> None:
-        """Close the client's idle connections."""
+        """Close the client's idle connections and its cache file. The client stays usable."""
         self._pool.close()
+        self._cache.close()
 
     def _fetch(
         self,

@@ -406,6 +406,8 @@ def test_http_client_service_contracts(capsys, tmp_path, chat_stub, geocoder_stu
         )
         assert revived.complete(request) == "(1.000, 2.000, 3.000, 4.000)"
         assert chat_stub.core.request_count == 2  # served from cache
+        client.close()
+        revived.close()
 
         paced = ChatClient(
             chat_stub.base_url, max_retries=0, backoff_s=0.01, rate_per_sec=100.0
@@ -443,6 +445,8 @@ def test_http_client_service_contracts(capsys, tmp_path, chat_stub, geocoder_stu
         assert revived.geocode("Paris") is not None
         assert revived.geocode("Nowhere Specific") is None  # negative result cached too
         assert geocoder_stub.core.request_count == n_requests
+        geocoder.close()
+        revived.close()
 
         for i in range(4):
             geocoder_stub.add(f"Town {i}", lat=10.0 + i, lng=20.0 + i)

@@ -169,12 +169,31 @@ def test_negative_retry_settings_exit_1(capsys, tmp_path, dataset_path, chat_stu
     assert not preds.exists()
 
 
-@pytest.mark.parametrize("flag", ["--llm-base", "--geocoder-endpoint"])
-def test_url_without_scheme_exits_1(capsys, tmp_path, dataset_path, chat_stub, flag):
+@pytest.mark.parametrize(
+    ("flag", "case"),
+    [
+        ("--llm-base", "no-scheme"),
+        ("--geocoder-endpoint", "no-scheme"),
+        ("--llm-base", "password"),
+        ("--llm-base", "bad-port"),
+    ],
+    ids=["--llm-base", "--geocoder-endpoint", "--llm-base-with-password", "--llm-base-with-bad-port"],
+)
+def test_url_without_scheme_exits_1(capsys, tmp_path, dataset_path, chat_stub, flag, case):
     preds = tmp_path / "p.jsonl"
-    bad = chat_stub.base_url.removeprefix("http://")
+    if case == "password":
+        bad = chat_stub.base_url.replace("http://", "http://user:secret@")
+        message = "chat endpoint must not carry a user name or password"
+    elif case == "bad-port":
+        bad = chat_stub.base_url.rsplit(":", 1)[0] + ":99999/v1"
+        message = "chat endpoint has a bad port: Port out of range 0-65535"
+    else:
+        bad = chat_stub.base_url.removeprefix("http://")
+        message = f"must be an http:// or https:// URL with a host, got {bad!r}"
     assert main(_run_args(dataset_path, chat_stub, preds, flag, bad)) == EXIT_USAGE
-    assert f"must be an http:// or https:// URL with a host, got {bad!r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "secret" not in err
     assert chat_stub.core.request_count == 0
     assert not preds.exists()
 

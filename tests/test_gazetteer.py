@@ -1,5 +1,6 @@
 import json
 import logging
+from contextlib import closing
 
 import pytest
 
@@ -229,10 +230,12 @@ def test_geocode_memory_cache_within_instance(geocoder_stub):
 def test_geocode_cache_file_survives_client_restart(geocoder_stub, tmp_path):
     cache = tmp_path / "geo_cache.jsonl"
     geocoder_stub.add("Oman", lat=21.0000287, lng=57.0)
-    first = _client(geocoder_stub, cache_path=cache).geocode("Oman")
+    with closing(_client(geocoder_stub, cache_path=cache)) as client:
+        first = client.geocode("Oman")
 
     fresh = _client(geocoder_stub, cache_path=cache)
     second = fresh.geocode("Oman")
+    fresh.close()
     assert second == first
     assert fresh.stats["requests"] == 0
     assert fresh.stats["cache_hits"] == 1
@@ -241,9 +244,11 @@ def test_geocode_cache_file_survives_client_restart(geocoder_stub, tmp_path):
 
 def test_geocode_negative_results_are_cached(geocoder_stub, tmp_path):
     cache = tmp_path / "geo_cache.jsonl"
-    assert _client(geocoder_stub, cache_path=cache).geocode("Atlantis") is None
+    with closing(_client(geocoder_stub, cache_path=cache)) as client:
+        assert client.geocode("Atlantis") is None
     fresh = _client(geocoder_stub, cache_path=cache)
     assert fresh.geocode("Atlantis") is None
+    fresh.close()
     assert fresh.stats["cache_hits"] == 1
     assert geocoder_stub.core.request_count == 1
 

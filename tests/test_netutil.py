@@ -1,26 +1,32 @@
+import errno
 import json
 import os
 import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import geobox
+from geobox import netutil
 from geobox.netutil import JsonlCache, ServiceClient, atomic_write_jsonl, atomic_write_text
+from geobox.reasoner import ChatClient, ChatRequest
 
 
 def test_put_after_torn_tail_starts_a_new_line(tmp_path):
     path = tmp_path / "cache.jsonl"
-    JsonlCache(path).put("a", 1)
+    with closing(JsonlCache(path)) as cache:
+        cache.put("a", 1)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"key": "b", "va')  # a writer killed mid-line
     cache = JsonlCache(path)
     cache.put("c", 3)
     cache.put("d", 4)
+    cache.close()
     reloaded = JsonlCache(path)
     assert (reloaded.get("a"), reloaded.get("c"), reloaded.get("d")) == (1, 3, 4)
     assert reloaded.get("b") is None
@@ -28,7 +34,8 @@ def test_put_after_torn_tail_starts_a_new_line(tmp_path):
 
 def test_line_torn_inside_a_utf8_character_is_skipped(tmp_path, caplog):
     path = tmp_path / "cache.jsonl"
-    JsonlCache(path).put("a", "São Paulo")
+    with closing(JsonlCache(path)) as cache:
+        cache.put("a", "São Paulo")
     torn = '{"key": "b", "value": "S\u00e3o'.encode("utf-8")
     with open(path, "ab") as fh:
         fh.write(torn[: torn.index(b"\xc3") + 1])  # cut after the first byte of "ã"
@@ -36,6 +43,7 @@ def test_line_torn_inside_a_utf8_character_is_skipped(tmp_path, caplog):
     assert "skipping corrupt cache line 2" in caplog.text
     assert (cache.get("a"), cache.get("b")) == ("São Paulo", None)
     cache.put("c", 3)
+    cache.close()
     assert path.read_bytes().endswith(b'\xc3\n{"key": "c", "value": 3}\n')
     reloaded = JsonlCache(path)
     assert (reloaded.get("a"), reloaded.get("b"), reloaded.get("c")) == ("São Paulo", None, 3)
@@ -56,6 +64,7 @@ def test_undecodable_line_is_skipped(tmp_path, caplog, line):
     ]
     before = path.read_bytes()
     cache.put("d", 4)
+    cache.close()
     assert path.read_bytes() == before + b'{"key": "d", "value": 4}\n'
     assert JsonlCache(path).get("d") == 4
 
@@ -177,14 +186,115 @@ def test_gets_during_concurrent_puts_lose_no_key(tmp_path):
         thread.join(timeout=120)
     assert not any(thread.is_alive() for thread in readers + writers)
     assert failures == []
+    cache.close()
     reloaded = JsonlCache(path)
     assert all(reloaded.get(f"{n}-{i}") == [n, i] for n in range(8) for i in range(25))
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The mode of every ``open`` call made by ``geobox.netutil``."""
+    modes = []
+    real_open = open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        modes.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(netutil, "open", counting_open, raising=False)
+    return modes
+
+
+def test_puts_share_one_append_handle_until_closed(tmp_path, opened):
+    path = tmp_path / "new-dir" / "cache.jsonl"  # the directory is made on the first put
+    cache = JsonlCache(path)
+    for n in range(5):
+        cache.put(f"k{n}", n)
+    assert opened == ["ab"]
+    cache.close()
+    cache.put("k5", 5)
+    cache.close()
+    cache.close()  # closing twice is harmless
+    assert opened == ["ab", "ab"]
+    assert path.read_bytes() == b"".join(
+        (json.dumps({"key": f"k{n}", "value": n}) + "\n").encode() for n in range(6)
+    )
+    reader = JsonlCache(path)
+    assert [reader.get(f"k{n}") for n in range(6)] == list(range(6))
+    reader.close()
+    assert opened == ["ab", "ab", "rb"]  # a cache that is only read opens no append handle
+
+
+def test_closed_client_reopens_its_cache_on_the_next_put(tmp_path, chat_stub, opened):
+    client = ChatClient(chat_stub.base_url, cache_path=tmp_path / "llm_cache.jsonl")
+    client.complete(ChatRequest(model="m", system="s", user="first"))
+    client.complete(ChatRequest(model="m", system="s", user="second"))
+    client.close()
+    client.complete(ChatRequest(model="m", system="s", user="third"))
+    client.close()
+    assert opened == ["ab", "ab"]
+
+
+class _FillingDisk:
+    """A file whose second write stores 10 bytes, then fails as a full disk does."""
+
+    def __init__(self, file):
+        self._file = file
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == 2:
+            self._file.write(data[:10])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._file.write(data)
+
+    def fileno(self):
+        return self._file.fileno()
+
+    def close(self):
+        self._file.close()
+
+
+@pytest.mark.parametrize("failure", ["write", "fsync"])
+def test_failed_put_leaves_the_next_put_on_a_new_line(tmp_path, monkeypatch, failure):
+    path = tmp_path / "cache.jsonl"
+    if failure == "write":
+
+        def filling_open(*args, **kwargs):
+            return _FillingDisk(open(*args, **kwargs))
+
+        monkeypatch.setattr(netutil, "open", filling_open, raising=False)
+    else:
+        real_fsync, fsyncs = os.fsync, []
+
+        def fsync(fd):
+            fsyncs.append(fd)
+            if len(fsyncs) == 2:
+                raise OSError(errno.EIO, "Input/output error")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+    cache = JsonlCache(path)
+    cache.put("a", 1)
+    with pytest.raises(OSError):
+        cache.put("b", 2)
+    assert cache.get("b") is None  # a put that failed stores nothing
+    cache.put("c", 3)
+    cache.close()
+    monkeypatch.undo()
+    lines = path.read_bytes().split(b"\n")
+    assert lines[0] == b'{"key": "a", "value": 1}'
+    assert lines[-2:] == [b'{"key": "c", "value": 3}', b""]
+    reloaded = JsonlCache(path)
+    assert (reloaded.get("a"), reloaded.get("c")) == (1, 3)
 
 
 def test_importing_the_cli_loads_no_http_or_tls_stack():
     code = (
         "import sys; before = set(sys.modules); import geobox.cli; "
-        "print(sorted({'requests', 'urllib3', 'ssl'} & (set(sys.modules) - before)))"
+        "print(sorted({'requests', 'urllib3', 'ssl', 'socket', 'http.client', 'email.parser'}"
+        " & (set(sys.modules) - before)))"
     )
     src = os.path.dirname(os.path.dirname(geobox.__file__))
     env = {**os.environ, "PYTHONPATH": src}

@@ -3,6 +3,7 @@ import concurrent.futures
 import re
 import sys
 import time
+from contextlib import closing
 
 import pytest
 from hypothesis import example, given
@@ -399,10 +400,12 @@ def test_stats_count_every_hit_from_many_threads(chat_stub):
 def test_complete_cache_file_survives_restart(chat_stub, tmp_path):
     cache = tmp_path / "llm_cache.jsonl"
     chat_stub.script("Oman", "answer")
-    _client(chat_stub, cache_path=cache).complete(_request())
+    with closing(_client(chat_stub, cache_path=cache)) as client:
+        client.complete(_request())
 
     fresh = _client(chat_stub, cache_path=cache)
     assert fresh.complete(_request()) == "answer"
+    fresh.close()
     assert fresh.stats["requests"] == 0
     assert chat_stub.core.request_count == 1
 

@@ -1,14 +1,25 @@
-"""The HTTP transport: keep-alive reuse, reopening, TLS settings, redirects, errors."""
+"""The HTTP transport: framing, limits, keep-alive reuse, reopening, TLS, redirects, errors."""
 
 import http.client
 import json
+import os
 import socket
 import ssl
+import subprocess
+import sys
 import threading
+import time
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import geobox
+from fixtures import echo_gold_script
+from geobox.dataset import write_dataset
+from geobox.gazetteer import GeocoderClient
 from geobox.netutil import ConnectionPool, ProtocolError, TransportError, request_json
 from geobox.reasoner import ChatClient, ChatRequest
 from stubs import ChatStub
@@ -24,16 +35,24 @@ def _reply(status: str, body: bytes, *headers: str) -> bytes:
 
 
 class RawServer:
-    """Answers one request per connection with a fixed reply, then closes it.
+    """Answers each request with a fixed reply, and logs what it received.
 
-    The reply does not say ``Connection: close``, so the client keeps the
-    connection for reuse, and finds it closed on its next request, as
-    after a server's keep-alive timeout.
+    By default it closes each connection after one reply. The reply does
+    not say ``Connection: close``, so the client keeps the connection for
+    reuse, and finds it closed on its next request, as after a server's
+    keep-alive timeout. With ``keep_alive=True`` it answers every request
+    a connection brings; with ``half_close=True`` as well, it shuts its
+    sending side after each reply, so a reply with no length ends, but it
+    still reads, and logs, a request sent on that connection. It serves
+    one connection at a time.
     """
 
-    def __init__(self, reply: bytes) -> None:
+    def __init__(self, reply: bytes, keep_alive: bool = False, half_close: bool = False) -> None:
         self.reply = reply
+        self.keep_alive = keep_alive
+        self.half_close = half_close
         self.requests: list[str] = []
+        self.raw: list[bytes] = []  # each request's head and body
         self.connections = 0
         self._sock = socket.create_server(("127.0.0.1", 0))
         self.url = f"http://127.0.0.1:{self._sock.getsockname()[1]}"
@@ -48,24 +67,37 @@ class RawServer:
                 return  # listening socket closed
             with conn:
                 self.connections += 1
-                data = b""
-                while b"\r\n\r\n" not in data:
-                    chunk = conn.recv(65536)
-                    if not chunk:
-                        break
-                    data += chunk
-                head, _, body = data.partition(b"\r\n\r\n")
-                if not head:
-                    continue
-                lines = head.decode("latin-1").split("\r\n")
-                fields = dict(line.lower().split(": ", 1) for line in lines[1:])
-                while len(body) < int(fields.get("content-length", 0)):
-                    chunk = conn.recv(65536)
-                    if not chunk:
-                        break
-                    body += chunk
-                self.requests.append(lines[0])
-                conn.sendall(self.reply)
+                self._answer(conn)
+
+    def _answer(self, conn: socket.socket) -> None:
+        data = b""
+        shut = False
+        while True:
+            while b"\r\n\r\n" not in data:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    return
+                data += chunk
+            head, _, data = data.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            fields = dict(line.lower().split(": ", 1) for line in lines[1:])
+            length = int(fields.get("content-length", 0))
+            while len(data) < length:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    break
+                data += chunk
+            body, data = data[:length], data[length:]
+            self.requests.append(lines[0])
+            self.raw.append(head + b"\r\n\r\n" + body)
+            if shut:
+                return  # logged, but it cannot be answered
+            conn.sendall(self.reply)
+            if not self.keep_alive:
+                return
+            if self.half_close:
+                conn.shutdown(socket.SHUT_WR)
+                shut = True
 
     def close(self) -> None:
         self._sock.shutdown(socket.SHUT_RDWR)
@@ -77,8 +109,8 @@ class RawServer:
 def raw_server():
     servers = []
 
-    def start(reply: bytes) -> RawServer:
-        servers.append(RawServer(reply))
+    def start(reply: bytes, **options) -> RawServer:
+        servers.append(RawServer(reply, **options))
         return servers[-1]
 
     yield start
@@ -117,19 +149,23 @@ def test_many_threads_share_one_client_without_warnings(caplog):
 
 
 def test_https_connections_verify_certificates(monkeypatch):
-    contexts = []
+    wrapped = []
 
-    def connect(conn):
-        contexts.append(conn._context)
+    def wrap_socket(context, sock, server_hostname=None, **options):
+        wrapped.append((context, server_hostname))
         raise ConnectionRefusedError("not connecting in tests")
 
-    monkeypatch.setattr(http.client.HTTPSConnection, "connect", connect)
-    client = ChatClient(base_url="https://127.0.0.1:9/v1", max_retries=0)
-    with pytest.raises(TransportError, match="ConnectionRefusedError"):
-        client.complete(ChatRequest(model="m", system="s", user="u"))
-    assert len(contexts) == 1
-    assert contexts[0].verify_mode == ssl.CERT_REQUIRED
-    assert contexts[0].check_hostname
+    monkeypatch.setattr(ssl.SSLContext, "wrap_socket", wrap_socket)
+    with socket.create_server(("127.0.0.1", 0)) as listener:  # accepts the TCP connection only
+        port = listener.getsockname()[1]
+        client = ChatClient(base_url=f"https://127.0.0.1:{port}/v1", max_retries=0)
+        with pytest.raises(TransportError, match="ConnectionRefusedError"):
+            client.complete(ChatRequest(model="m", system="s", user="u"))
+    assert len(wrapped) == 1
+    context, server_hostname = wrapped[0]
+    assert context.verify_mode == ssl.CERT_REQUIRED
+    assert context.check_hostname
+    assert server_hostname == "127.0.0.1"
 
 
 def test_redirect_is_not_followed(raw_server):
@@ -147,3 +183,287 @@ def test_unreachable_endpoint_names_the_os_error():
     url = f"http://127.0.0.1:{port}/x"
     with pytest.raises(TransportError, match="ConnectionRefusedError"):
         request_json(ConnectionPool(url), "GET", url, max_retries=0, **_UNPACED)
+
+
+_JSON_BODY = b'{"a": 1}'
+_CHUNKED_HEAD = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+_CHUNKED = (
+    _CHUNKED_HEAD + b"5;name=value\r\n" + _JSON_BODY[:5] + b"\r\n"
+    b"3\r\n" + _JSON_BODY[5:] + b"\r\n"
+    b"0\r\nX-Checksum: 1234\r\n\r\n"
+)
+
+
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+_HTTP_1_0 = _reply("200 OK", _JSON_BODY).replace(b"HTTP/1.1", b"HTTP/1.0")
+_TO_EOF = b"HTTP/1.1 200 OK\r\n\r\n" + _JSON_BODY
+
+
+# half_close: the server shuts its sending side after each reply, which
+# is what ends a reply that has no length.
+@pytest.mark.parametrize(
+    ("reply", "half_close", "status", "body", "connections"),
+    [
+        pytest.param(_reply("200 OK", _JSON_BODY), False, 200, _JSON_BODY, 1, id="content-length"),
+        pytest.param(_CHUNKED, False, 200, _JSON_BODY, 1, id="chunked"),
+        pytest.param(
+            _CONTINUE + _reply("200 OK", _JSON_BODY), False, 200, _JSON_BODY, 1, id="100-continue"
+        ),
+        pytest.param(b"HTTP/1.1 204 No Content\r\n\r\n", False, 204, b"", 1, id="204"),
+        pytest.param(_HTTP_1_0, False, 200, _JSON_BODY, 2, id="http-1.0"),
+        pytest.param(
+            _reply("200 OK", _JSON_BODY, "Connection: close"), False, 200, _JSON_BODY, 2,
+            id="connection-close",
+        ),
+        pytest.param(_TO_EOF, True, 200, _JSON_BODY, 2, id="to-eof"),
+    ],
+)  # fmt: skip
+def test_reply_framing_and_connection_reuse(
+    raw_server, reply, half_close, status, body, connections
+):
+    server = raw_server(reply, keep_alive=True, half_close=half_close)
+    pool = ConnectionPool(server.url)
+    for _ in range(2):
+        assert pool.request("GET", server.url + "/x", None, {}, 5.0)[::2] == (status, body)
+    pool.close()
+    assert server.requests == ["GET /x HTTP/1.1"] * 2  # none sent on a connection that ended
+    assert server.connections == connections
+
+
+def test_reply_header_names_are_lower_cased(raw_server):
+    server = raw_server(_reply("200 OK", _JSON_BODY, "X-Request-ID: abc", "Content-Type: a/b"))
+    pool = ConnectionPool(server.url)
+    status, headers, body = pool.request("GET", server.url + "/x", None, {}, 5.0)
+    pool.close()
+    assert headers == {"content-length": "8", "x-request-id": "abc", "content-type": "a/b"}
+
+
+def _fields(n: int) -> list[str]:
+    return [f"X-Field-{i}: {i}" for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    ("reply", "ok"),
+    [
+        (_reply("200 OK", _JSON_BODY, "X-Long: " + "a" * (65536 - 10)), True),
+        (_reply("200 OK", _JSON_BODY, "X-Long: " + "a" * (65537 - 10)), False),
+        (_reply("200 OK", _JSON_BODY, *_fields(99)), True),  # with Content-Length, 100 headers
+        (_reply("200 OK", _JSON_BODY, *_fields(100)), False),
+    ],
+    ids=["line-65536", "line-65537", "headers-100", "headers-101"],
+)
+def test_reply_limits_match_http_client(raw_server, reply, ok):
+    server = raw_server(reply)
+    pool = ConnectionPool(server.url)
+    url = server.url + "/x"
+    if ok:
+        assert request_json(pool, "GET", url, max_retries=0, **_UNPACED) == ({"a": 1}, 0)
+    else:
+        with pytest.raises(TransportError, match="ConnectionError: reply (line longer|has more)"):
+            request_json(pool, "GET", url, max_retries=0, **_UNPACED)
+    pool.close()
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"HTTP/1.1 200 OK\r\nContent-Length: 20\r\n\r\n" + _JSON_BODY,
+        b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000000000\r\n\r\n" + _JSON_BODY,
+        b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n" + _JSON_BODY,
+        _CHUNKED[: _CHUNKED.index(b"3\r\n") + 4],
+        _CHUNKED.replace(b"\r\n3\r\n", b"\r\n0x3\r\n"),
+        b"HTTQ/1.1 200 OK\r\nContent-Length: 8\r\n\r\n" + _JSON_BODY,
+        b"HTTP/1.1 2000 OK\r\nContent-Length: 8\r\n\r\n" + _JSON_BODY,
+        b"HTTP/1.1 200 OK\r\nContent-Length 8\r\n\r\n" + _JSON_BODY,
+    ],
+    ids=[
+        "body-cut-short",
+        "huge-length",
+        "negative-length",
+        "chunk-cut-short",
+        "bad-chunk-size",
+        "bad-version",
+        "bad-status",
+        "header-without-colon",
+    ],
+)
+def test_broken_reply_is_retried_then_fails(raw_server, reply):
+    server = raw_server(reply)
+    pool = ConnectionPool(server.url)
+    with pytest.raises(TransportError, match="still failing after 1 retries .*ConnectionError"):
+        request_json(pool, "GET", server.url + "/x", max_retries=1, **_UNPACED)
+    pool.close()
+    assert server.requests == ["GET /x HTTP/1.1"] * 2
+
+
+@pytest.mark.parametrize("key", ["k\r\nX-Injected: 1", "k\nX-Injected: 1"], ids=["crlf", "lf"])
+def test_line_break_in_api_key_is_refused_before_sending(raw_server, monkeypatch, key):
+    server = raw_server(_chat_reply("fine"))
+    monkeypatch.setenv("LLM_API_KEY", key)
+    client = ChatClient(base_url=server.url, max_retries=0)
+    with pytest.raises(ValueError, match="'Authorization' holds a CR, LF or NUL") as caught:
+        client.complete(ChatRequest(model="m", system="s", user="u"))
+    client.close()
+    assert key not in str(caught.value)
+    assert server.connections == 0
+
+
+@pytest.mark.parametrize(
+    "headers",
+    [{"X-Note": "a\x00b"}, {"X-Note\r\nX-Injected": "1"}],
+    ids=["nul-in-value", "crlf-in-name"],
+)
+def test_bad_header_is_refused_before_sending(raw_server, headers):
+    server = raw_server(_reply("200 OK", _JSON_BODY))
+    pool = ConnectionPool(server.url)
+    with pytest.raises(ValueError, match="holds a CR, LF or NUL"):
+        pool.request("GET", server.url + "/x", None, headers, 5.0)
+    assert server.connections == 0
+
+
+@pytest.mark.parametrize(
+    "path", ["/a b", "/a\x1fb", "/a\x7fb", "/café"], ids=["space", "control", "del", "non-ascii"]
+)
+def test_bad_request_target_is_refused_before_sending(raw_server, path):
+    server = raw_server(_reply("200 OK", _JSON_BODY))
+    pool = ConnectionPool(server.url)
+    with pytest.raises(ValueError, match="request target may not hold") as caught:
+        request_json(pool, "GET", server.url + path + "?key=sekrit", max_retries=0, **_UNPACED)
+    assert "sekrit" not in str(caught.value)
+    assert server.connections == 0
+
+
+@pytest.mark.parametrize(
+    "url",
+    [
+        "http://127.0.0.1:8080/v1?q=1",
+        "http://example.com:80/v1",
+        "http://bücher.example/v1",
+        "http://[::1]/v1",
+        "http://[::1]:8080/v1",
+        "https://example.com:8443/v1",
+    ],
+)
+@pytest.mark.parametrize("method", ["GET", "POST"])
+def test_request_bytes_match_http_client(raw_server, monkeypatch, url, method):
+    server = raw_server(_reply("200 OK", _JSON_BODY), keep_alive=True)
+    real_connect, port = socket.create_connection, urllib.parse.urlsplit(server.url).port
+    # Every host reaches the server, and TLS is left out, so both clients' bytes can be compared.
+    monkeypatch.setattr(
+        socket, "create_connection", lambda _, *a, **k: real_connect(("127.0.0.1", port), *a, **k)
+    )
+    monkeypatch.setattr(ssl.SSLContext, "wrap_socket", lambda context, sock, **k: sock)
+    body = b'{"model": "m"}' if method == "POST" else None
+    headers = {"User-Agent": "geobox", "Authorization": "Bearer k"}
+    if body is not None:
+        headers["Content-Type"] = "application/json"
+
+    pool = ConnectionPool(url)
+    pool.request(method, url, body, headers, 5.0)
+    pool.close()
+    parts = urllib.parse.urlsplit(url)
+    https = parts.scheme == "https"
+    conn = (http.client.HTTPSConnection if https else http.client.HTTPConnection)(parts.netloc)
+    target = f"{parts.path}?{parts.query}" if parts.query else parts.path
+    conn.request(method, target, body=body, headers=headers)
+    conn.getresponse().read()
+    conn.close()
+    assert len(server.raw) == 2
+    assert server.raw[0] == server.raw[1]
+
+
+def test_http_run_loads_no_http_client_or_tls(tmp_path, records, chat_stub):
+    for description, reply in echo_gold_script(records).items():
+        chat_stub.script(description, reply)
+    dataset = tmp_path / "dataset.jsonl"
+    write_dataset(records, dataset)
+    argv = [
+        "run", "--approach", "direct", "--model", "m", "--dataset", str(dataset),
+        "--llm-base", chat_stub.base_url, "--predictions", str(tmp_path / "p.jsonl"),
+        "--cache-dir", str(tmp_path / "cache"),
+    ]  # fmt: skip
+    code = (
+        "import sys; from geobox.cli import main; code = main(%r); "
+        "print(code, sorted({'http.client', 'ssl', 'email.parser'} & set(sys.modules)))" % argv
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(geobox.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines()[-1] == "0 []"
+    assert chat_stub.core.request_count == len(records)
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        None,
+        _reply("503 Service Unavailable", b""),
+        _reply("404 Not Found", b"no"),
+        _reply("200 OK", b"<html>"),
+    ],
+    ids=["refused", "503", "404", "non-json"],
+)
+def test_geocoder_api_key_is_not_logged_or_raised(raw_server, caplog, reply):
+    if reply is None:
+        with socket.create_server(("127.0.0.1", 0)) as sock:
+            url = f"http://127.0.0.1:{sock.getsockname()[1]}/geocode"  # nothing listens once closed
+    else:
+        url = raw_server(reply).url + "/geocode"
+    client = GeocoderClient(url, api_key="sekrit123", max_retries=1, backoff_s=0.0)
+    with pytest.raises((TransportError, ProtocolError)) as caught:
+        client.geocode("Foo")
+    client.close()
+    assert "/geocode" in str(caught.value)
+    assert "sekrit123" not in str(caught.value)
+    assert "sekrit123" not in caplog.text
+
+
+# A valid reply in each framing; every prefix of one is a truncated reply.
+_VALID_REPLIES = [_reply("200 OK", _JSON_BODY, "Content-Type: application/json"), _CHUNKED]
+
+
+@pytest.fixture(scope="module")
+def fuzz_server():
+    server = RawServer(b"")
+    yield server
+    server.close()
+
+
+def _answer_within_timeout(server: RawServer, reply: bytes) -> None:
+    server.reply = reply
+    pool = ConnectionPool(server.url)
+    start = time.monotonic()
+    try:
+        request_json(pool, "GET", server.url + "/x", max_retries=0, **_UNPACED)
+    except (TransportError, ProtocolError):
+        pass
+    finally:
+        pool.close()
+    assert time.monotonic() - start < _UNPACED["timeout"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.binary(max_size=400)
+    | st.builds(
+        bytes.__add__,
+        st.sampled_from([b"HTTP/1.1 200 OK\r\n", b"HTTP/1.0 100 Go\r\n\r\n"]),
+        st.binary(),
+    )
+    | st.builds(
+        bytes.__add__,
+        st.sampled_from([b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n", _CHUNKED_HEAD]),
+        st.binary(),
+    )
+)
+@example(b"HTTP/1.1 200 OK\r\n\r\n" + b"[" * 100_000)
+@example(_CHUNKED_HEAD + b"ffffffffffffffffff\r\n")
+def test_arbitrary_reply_returns_or_raises_a_service_error(fuzz_server, reply):
+    _answer_within_timeout(fuzz_server, reply)
+
+
+@pytest.mark.parametrize("valid", _VALID_REPLIES, ids=["content-length", "chunked"])
+def test_every_truncated_reply_returns_or_raises_a_service_error(fuzz_server, valid):
+    for end in range(len(valid) + 1):
+        _answer_within_timeout(fuzz_server, valid[:end])
