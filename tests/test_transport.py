@@ -216,6 +216,9 @@ _TO_EOF = b"HTTP/1.1 200 OK\r\n\r\n" + _JSON_BODY
             id="connection-close",
         ),
         pytest.param(_TO_EOF, True, 200, _JSON_BODY, 2, id="to-eof"),
+        pytest.param(
+            _TO_EOF.replace(b"HTTP/1.1", b"HTTP/1.0"), True, 200, _JSON_BODY, 2, id="http-1.0-to-eof"
+        ),
     ],
 )  # fmt: skip
 def test_reply_framing_and_connection_reuse(
