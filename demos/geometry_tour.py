@@ -67,13 +67,13 @@ transcript = (
     "in the south-east (6.94), so a reasonable bounding box would be "
     "(6.060, 46.200, 6.940, 46.540)."
 )
-parsed = parse_bbox(transcript)
+box, _ = parse_bbox(transcript)
 print(f"Transcript: ...{transcript[-60:]}")
-print(f"Extracted:  {format_bbox(parsed.box)}")
+print(f"Extracted:  {format_bbox(box)}")
 print("Only the last well-formed tuple counts; the asides in parentheses are ignored.")
 
-backwards = parse_bbox("My answer is (6.940, 46.540, 6.060, 46.200).")
-print(f"Inverted bounds are found but rejected: errors={backwards.errors}")
+_, flags = parse_bbox("My answer is (6.940, 46.540, 6.060, 46.200).")
+print(f"Inverted bounds are found but rejected: flags={flags}")
 
 section("Canonical rendering round-trips")
 point = GeoPoint(lat=-36.8508827, lon=174.7644881)

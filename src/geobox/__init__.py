@@ -46,7 +46,7 @@ from .metrics import (
     harmonic_f1,
 )
 from .netutil import EmptyResponseError, ProtocolError, TransportError
-from .parsing import ParsedBox, ParsedPoint, parse_bbox, parse_point
+from .parsing import parse_bbox, parse_point
 from .pipeline import Approach, ExperimentConfig, RunDeps, run_experiment, run_record
 from .prompts import PromptKind, system_text
 from .reasoner import (
@@ -81,8 +81,6 @@ __all__ = [
     "LocationRecord",
     "Mention",
     "MetricsReport",
-    "ParsedBox",
-    "ParsedPoint",
     "Prediction",
     "PromptKind",
     "ProtocolError",

@@ -89,6 +89,8 @@ class LoadReport:
 
 
 def _mention_from_obj(obj: dict) -> Mention:
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a mention object, got {type(obj).__name__}")
     # A mention has gold only when both coordinates are present.
     has_gold = obj.get("lat") is not None and obj.get("lon") is not None
     return Mention(str(obj["name"]), geoinfo_from_obj(obj) if has_gold else None)
@@ -144,7 +146,7 @@ def load_dataset(path: str | os.PathLike) -> tuple[list[LocationRecord], LoadRep
             for line_no, line in jsonl_lines(fh):
                 try:
                     record = record_from_obj(decode_json_line(line))
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, OverflowError) as exc:
                     report.skipped.append((line_no, str(exc)))
                     logger.warning("dataset %s line %d skipped: %s", path, line_no, exc)
                     continue
@@ -334,7 +336,7 @@ def read_predictions(path: str | os.PathLike) -> list[Prediction]:
             for line_no, line in jsonl_lines(fh):
                 try:
                     predictions.append(prediction_from_obj(decode_json_line(line)))
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, OverflowError) as exc:
                     raise DataError(f"predictions {path} line {line_no}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read predictions {path}: {exc}") from exc

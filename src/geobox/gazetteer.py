@@ -81,7 +81,7 @@ class GazetteerStore:
             for line_no, line in jsonl_lines(fh):
                 try:
                     store.add(geoinfo_from_obj(decode_json_line(line)))
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, OverflowError) as exc:
                     skipped += 1
                     logger.warning("gazetteer %s line %d skipped: %s", path, line_no, exc)
         if skipped:
@@ -161,7 +161,7 @@ class GeocoderClient(ServiceClient):
                         lon_max=float(ne["lng"]),
                         lat_max=float(ne["lat"]),
                     )
-                except ValueError:
+                except (ValueError, OverflowError):
                     # e.g. a viewport wrapping the antimeridian; keep center.
                     logger.warning("unusable viewport for %r, keeping center only", query)
                     bbox = None
@@ -171,5 +171,5 @@ class GeocoderClient(ServiceClient):
                 bbox=bbox,
                 source_id=str(first["place_id"]) if first.get("place_id") else None,
             )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"malformed geocoder result for {query!r}: {exc}") from exc

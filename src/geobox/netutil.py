@@ -432,7 +432,8 @@ def check_http_url(url: str, what: str) -> None:
     """
     parts = urllib.parse.urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ValueError(f"{what} must be an http:// or https:// URL with a host, got {url!r}")
+        got = "" if "@" in url else f", got {url!r}"  # "@" may follow a password
+        raise ValueError(f"{what} must be an http:// or https:// URL with a host{got}")
     if "@" in parts.netloc:  # not echoed: it may hold a password
         raise ValueError(f"{what} must not carry a user name or password")
     try:

@@ -13,15 +13,15 @@ opens a tuple. No tuple element matches ``(``, so an attempt that fails
 at one ``(`` stops before the next: each character is read about once
 and the cost is linear in the text's length.
 
-Validation failures are not discarded: a tuple that is out of range or
-mis-ordered is kept with its values so callers can distinguish "the
-model answered, badly" from "the model did not answer".
+Each parser returns the geometry with the prediction's own flags. A
+usable tuple gives ``(geometry, ())``. Otherwise the geometry is None and
+the flags tell "the model did not answer" (``no_parse``) from "the model
+answered, badly" (``invalid_order``, ``invalid_range``).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .geo import BoundingBox, GeoPoint
 
@@ -45,95 +45,37 @@ def _last_tuple(pattern: re.Pattern[str], text: str) -> tuple[str, ...] | None:
     return None
 
 
-@dataclass(frozen=True)
-class ParsedPoint:
-    """Outcome of scanning text for a ``(lat, lon)`` tuple.
-
-    ``values`` is None when no 2-tuple was found at all. ``point`` is set
-    only when the tuple also passed range validation; otherwise ``errors``
-    names what failed ("range").
-    """
-
-    values: tuple[float, float] | None
-    point: GeoPoint | None
-    errors: tuple[str, ...] = ()
-
-    @property
-    def found(self) -> bool:
-        return self.values is not None
-
-    @property
-    def ok(self) -> bool:
-        return self.point is not None
-
-
-@dataclass(frozen=True)
-class ParsedBox:
-    """Outcome of scanning text for a ``(lon_min, lat_min, lon_max, lat_max)`` tuple.
-
-    Same three-way shape as ParsedPoint; ``errors`` may contain "order"
-    (min/max inverted), "range" (coordinate outside valid bounds), or both.
-    """
-
-    values: tuple[float, float, float, float] | None
-    box: BoundingBox | None
-    errors: tuple[str, ...] = ()
-
-    @property
-    def found(self) -> bool:
-        return self.values is not None
-
-    @property
-    def ok(self) -> bool:
-        return self.box is not None
-
-
-def parse_point(text: str) -> ParsedPoint:
-    """Extract the last ``(lat, lon)`` tuple from text.
-
-    Args:
-        text: arbitrary model output.
-
-    Returns:
-        ParsedPoint. Out-of-range values are retained with
-        ``errors=("range",)`` and no point.
-    """
+def parse_point(text: str) -> tuple[GeoPoint | None, tuple[str, ...]]:
+    """The last ``(lat, lon)`` tuple in text; flags ``no_parse`` or ``invalid_range``."""
     groups = _last_tuple(_POINT_RE, text)
     if groups is None:
-        return ParsedPoint(values=None, point=None)
+        return None, ("no_parse",)
     lat, lon = (float(v) for v in groups)
     if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
-        return ParsedPoint(values=(lat, lon), point=GeoPoint(lat=lat, lon=lon))
-    return ParsedPoint(values=(lat, lon), point=None, errors=("range",))
+        return GeoPoint(lat=lat, lon=lon), ()
+    return None, ("invalid_range",)
 
 
-def parse_bbox(text: str) -> ParsedBox:
-    """Extract the last ``(lon_min, lat_min, lon_max, lat_max)`` tuple from text.
+def parse_bbox(text: str) -> tuple[BoundingBox | None, tuple[str, ...]]:
+    """The last ``(lon_min, lat_min, lon_max, lat_max)`` tuple in text.
 
-    Args:
-        text: arbitrary model output.
-
-    Returns:
-        ParsedBox. Order violations (lon_min > lon_max or
-        lat_min > lat_max) and range violations are flagged in ``errors``
-        with the raw values retained; a tuple with both problems carries
-        both flags.
+    Flags: ``no_parse``, or ``invalid_order`` (a min above its max) and
+    ``invalid_range``, in that order, for each rule the tuple breaks.
     """
     groups = _last_tuple(_BBOX_RE, text)
     if groups is None:
-        return ParsedBox(values=None, box=None)
+        return None, ("no_parse",)
     lon_min, lat_min, lon_max, lat_max = (float(v) for v in groups)
-    values = (lon_min, lat_min, lon_max, lat_max)
-    errors: list[str] = []
+    flags = ()
     if lon_min > lon_max or lat_min > lat_max:
-        errors.append("order")
+        flags += ("invalid_order",)
     if not (
         -180.0 <= lon_min <= 180.0
         and -180.0 <= lon_max <= 180.0
         and -90.0 <= lat_min <= 90.0
         and -90.0 <= lat_max <= 90.0
     ):
-        errors.append("range")
-    if errors:
-        return ParsedBox(values=values, box=None, errors=tuple(errors))
-    return ParsedBox(values=values, box=BoundingBox(*values))
+        flags += ("invalid_range",)
+    if flags:
+        return None, flags
+    return BoundingBox(lon_min, lat_min, lon_max, lat_max), ()

@@ -251,16 +251,10 @@ def extract_prediction(kind: PromptKind, text: str) -> Extraction:
     if kind is PromptKind.MENTION_RECALLER:
         return Extraction(mentions=tuple(extract_mentions(text)))
     if kind is PromptKind.KNOWLEDGE_POINT:
-        parsed = parse_point(text)
-        success = Extraction(point=parsed.point)
-    else:
-        parsed = parse_bbox(text)
-        success = Extraction(bbox=parsed.box)
-    if parsed.ok:
-        return success
-    if parsed.found:
-        return Extraction(flags=tuple(f"invalid_{e}" for e in parsed.errors))
-    return Extraction(flags=("no_parse",))
+        point, flags = parse_point(text)
+        return Extraction(point=point, flags=flags)
+    bbox, flags = parse_bbox(text)
+    return Extraction(bbox=bbox, flags=flags)
 
 
 class ChatClient(ServiceClient):

@@ -217,11 +217,9 @@ def test_coordinate_parser_corpus(capsys):
             assert text in box_system
 
         for text, want in POINT_CORPUS:
-            parsed = parse_point(text)
-            assert parsed.ok and parsed.point == want, text
+            assert parse_point(text) == (want, ()), text
         for text, want in BOX_CORPUS:
-            parsed = parse_bbox(text)
-            assert parsed.ok and parsed.box == want, text[:40]
+            assert parse_bbox(text) == (want, ()), text[:40]
 
         mentions = extract_mentions(RECALLER_TWO_MENTIONS)
         assert [(m.name, m.lon, m.lat) for m in mentions] == [
@@ -249,14 +247,12 @@ def test_coordinate_parser_corpus(capsys):
         rng = random.Random(20260819)
         for _ in range(500):
             point = GeoPoint(lat=rng.uniform(-90, 90), lon=rng.uniform(-180, 180))
-            parsed = parse_point(format_point(point))
-            assert parsed.ok and parsed.point == point
+            assert parse_point(format_point(point)) == (point, ())
         for _ in range(500):
             lon_a, lon_b = sorted((rng.uniform(-180, 180), rng.uniform(-180, 180)))
             lat_a, lat_b = sorted((rng.uniform(-90, 90), rng.uniform(-90, 90)))
             box = BoundingBox(lon_a, lat_a, lon_b, lat_b)
-            parsed = parse_bbox(format_bbox(box))
-            assert parsed.ok and parsed.box == box
+            assert parse_bbox(format_bbox(box)) == (box, ())
 
 
 # --- gate 5: prompt golden files -----------------------------------------------------

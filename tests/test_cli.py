@@ -176,8 +176,17 @@ def test_negative_retry_settings_exit_1(capsys, tmp_path, dataset_path, chat_stu
         ("--geocoder-endpoint", "no-scheme"),
         ("--llm-base", "password"),
         ("--llm-base", "bad-port"),
+        ("--llm-base", "no-scheme-password"),
+        ("--llm-base", "ftp-password"),
     ],
-    ids=["--llm-base", "--geocoder-endpoint", "--llm-base-with-password", "--llm-base-with-bad-port"],
+    ids=[
+        "--llm-base",
+        "--geocoder-endpoint",
+        "--llm-base-with-password",
+        "--llm-base-with-bad-port",
+        "--llm-base-no-scheme-with-password",
+        "--llm-base-ftp-with-password",
+    ],
 )
 def test_url_without_scheme_exits_1(capsys, tmp_path, dataset_path, chat_stub, flag, case):
     preds = tmp_path / "p.jsonl"
@@ -187,6 +196,10 @@ def test_url_without_scheme_exits_1(capsys, tmp_path, dataset_path, chat_stub, f
     elif case == "bad-port":
         bad = chat_stub.base_url.rsplit(":", 1)[0] + ":99999/v1"
         message = "chat endpoint has a bad port: Port out of range 0-65535"
+    elif case.endswith("-password"):  # no scheme, or not http(s): not echoed either
+        scheme = "ftp://" if case == "ftp-password" else ""
+        bad = chat_stub.base_url.replace("http://", f"{scheme}user:secret@")
+        message = "chat endpoint must be an http:// or https:// URL with a host\n"
     else:
         bad = chat_stub.base_url.removeprefix("http://")
         message = f"must be an http:// or https:// URL with a host, got {bad!r}"

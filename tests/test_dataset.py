@@ -122,6 +122,9 @@ def test_load_skips_bad_lines_and_reports_them(tmp_path):
                 "mentions": [{"name": "Elsewhere"}],
             }
         ),
+        json.dumps(
+            {"id": "bad5", "description": "x", "gold_bbox": [0, 0, 10**400, 1]}
+        ),  # valid JSON, but too large for a float
         json.dumps(good),  # duplicate id, first wins
         "",
     ]
@@ -129,9 +132,20 @@ def test_load_skips_bad_lines_and_reports_them(tmp_path):
     records, report = load_dataset(path)
     assert [r.record_id for r in records] == ["r01"]
     assert report.n_loaded == 1
-    assert report.n_skipped == 6
-    assert [line_no for line_no, _ in report.skipped] == [2, 3, 4, 5, 6, 7]
+    assert report.n_skipped == 7
+    assert [line_no for line_no, _ in report.skipped] == [2, 3, 4, 5, 6, 7, 8]
     assert "duplicate id" in report.skipped[-1][1]
+
+
+@pytest.mark.parametrize("mentions", [["Lausanne"], "Lausanne"], ids=["list-of-str", "str"])
+def test_load_skips_a_line_whose_mentions_are_not_objects(tmp_path, mentions):
+    path = tmp_path / "data.jsonl"
+    good = record_to_obj(make_fixture_records()[0])
+    bad = {"id": "bad", "description": "Lausanne", "gold_bbox": [0, 0, 1, 1], "mentions": mentions}
+    path.write_text(f"{json.dumps(bad)}\n{json.dumps(good)}\n", encoding="utf-8")
+    records, report = load_dataset(path)
+    assert [r.record_id for r in records] == ["r01"]
+    assert report.skipped == [(1, "expected a mention object, got str")]
 
 
 def test_load_rejects_unusable_dataset(tmp_path):
@@ -316,6 +330,14 @@ def test_read_predictions_rejects_bad_line(tmp_path):
     path = tmp_path / "preds.jsonl"
     path.write_text('{"record_id": "a"}\nnot json\n', encoding="utf-8")
     with pytest.raises(DataError):
+        read_predictions(path)
+
+
+def test_read_predictions_rejects_a_number_too_large_for_a_float(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    bad = {**prediction_to_obj(_predictions()[0]), "bbox": [0, 0, 10**400, 1]}
+    path.write_text(json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 1: int too large to convert to float"):
         read_predictions(path)
 
 

@@ -3,6 +3,8 @@ import logging
 from contextlib import closing
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from geobox import BoundingBox, GazetteerStore, GeocoderClient, GeoInfo, GeoPoint
 from geobox.gazetteer import normalize_name
@@ -103,6 +105,7 @@ def test_store_load_skips_bad_lines(tmp_path, caplog):
         "{this is not json",
         json.dumps({"name": "NoCoords"}),
         json.dumps({"name": "BadLat", "lat": 123.0, "lon": 57.0}),
+        json.dumps({"name": "HugeLat", "lat": 10**400, "lon": 57.0}),  # overflows float()
         "",
         json.dumps({"name": "Iran", "lat": 32.6475314, "lon": 53.688}),
     ]
@@ -111,7 +114,7 @@ def test_store_load_skips_bad_lines(tmp_path, caplog):
         store = GazetteerStore.load(path)
     assert len(store) == 2
     assert store.lookup("Iran") is not None
-    assert sum("skipped" in r.message for r in caplog.records) >= 3
+    assert sum("skipped" in r.message for r in caplog.records) >= 4
 
 
 # --- remote geocoder -----------------------------------------------------------
@@ -268,3 +271,63 @@ def test_geocode_known_then_unknown(geocoder_stub):
     client = _client(geocoder_stub)
     assert client.geocode("Oman").center.lat == 21.0000287
     assert client.geocode("Atlantis") is None
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _dict(required=None, optional=None):
+    """A dict in the geocoder's shape, or any JSON in its place."""
+    return st.fixed_dictionaries(required or {}, optional=optional) | _json
+
+
+_corner = _dict({"lat": _json, "lng": _json})
+_result = _dict(
+    optional={
+        "geometry": _dict(
+            optional={
+                "location": _corner,
+                "viewport": _dict({"southwest": _corner, "northeast": _corner}),
+            }
+        ),
+        "formatted_address": _json,
+        "place_id": _json,
+    }
+)
+_reply = _dict(
+    {"status": st.sampled_from(["OK", "ZERO_RESULTS"]) | _json},
+    optional={"results": st.lists(_result, max_size=2) | _json},
+)
+_HUGE = 10**400  # JSON holds it; float() overflows
+
+
+@given(_reply)
+@example({"status": "OK", "results": [{"geometry": {"location": {"lat": _HUGE, "lng": 1}}}]})
+@example(
+    {
+        "status": "OK",
+        "results": [
+            {
+                "geometry": {
+                    "location": {"lat": 1, "lng": 1},
+                    "viewport": {
+                        "southwest": {"lat": 0, "lng": 0},
+                        "northeast": {"lat": 2, "lng": _HUGE},
+                    },
+                }
+            }
+        ],
+    }
+)
+def test_any_geocoder_json_gives_geoinfo_none_or_protocol_error(data):
+    client = GeocoderClient("http://127.0.0.1:9/geocode")
+    try:
+        result = client._parse_response("Oman", data)
+    except ProtocolError:
+        return
+    assert result is None or isinstance(result, GeoInfo)

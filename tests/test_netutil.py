@@ -8,7 +8,7 @@ import time
 from contextlib import closing
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geobox
@@ -81,6 +81,7 @@ _json_values = st.recursive(
 )
 
 
+@settings(deadline=None)  # each example fsyncs a file; its time is the disk's, not the code's
 @given(st.lists(_json_values, max_size=6))
 @example([])
 @example([{"name": "S\u00e3o Paulo \u2028\x00\x1f", "v": [-0.0, float("nan"), float("inf")]}])

@@ -20,16 +20,19 @@ from fixtures import (
     TRACE_SINGLE_NUMBER_PARENS_BOX,
 )
 from geobox import BoundingBox, GeoPoint, format_bbox, format_point
-from geobox.parsing import _BBOX_RE, _POINT_RE, parse_bbox, parse_point
+from geobox.parsing import _BBOX_RE, _POINT_RE, _last_tuple, parse_bbox, parse_point
 from geobox.prompts import PromptKind, system_text
+
+NO_PARSE = (None, ("no_parse",))
 
 # --- exemplar tuples --------------------------------------------------------
 
 
 def test_point_exemplars_parse():
-    parsed = parse_point(system_text(PromptKind.KNOWLEDGE_POINT))
-    assert parsed.ok
-    assert parsed.point == GeoPoint(lat=-14.243, lon=-53.189)
+    assert parse_point(system_text(PromptKind.KNOWLEDGE_POINT)) == (
+        GeoPoint(lat=-14.243, lon=-53.189),
+        (),
+    )
 
 
 @pytest.mark.parametrize(
@@ -37,13 +40,11 @@ def test_point_exemplars_parse():
     [PromptKind.KNOWLEDGE_BOX, PromptKind.GEO_AUGMENTED_BOX, PromptKind.DIRECT_BOX],
 )
 def test_box_exemplars_parse(kind):
-    parsed = parse_bbox(system_text(kind))
-    assert parsed.ok
-    assert parsed.box == BoundingBox(-73.983, -33.75, -34.793, 5.27)
+    assert parse_bbox(system_text(kind)) == (BoundingBox(-73.983, -33.75, -34.793, 5.27), ())
 
 
 def test_box_exemplars_contain_no_point_tuples():
-    assert not parse_point(system_text(PromptKind.KNOWLEDGE_BOX)).found
+    assert parse_point(system_text(PromptKind.KNOWLEDGE_BOX)) == NO_PARSE
 
 
 # --- verbose trace outputs ---------------------------------------------------
@@ -61,99 +62,76 @@ def test_box_exemplars_contain_no_point_tuples():
     ],
 )
 def test_trace_outputs_parse(text, expected):
-    parsed = parse_bbox(text)
-    assert parsed.ok
-    assert parsed.box == expected
+    assert parse_bbox(text) == (expected, ())
 
 
 def test_word_parens_never_match():
-    assert not parse_bbox("bounded by Oman (the south) and Iran (the north)").found
-    assert not parse_point("bounded by Oman (the south) and Iran (the north)").found
+    assert parse_bbox("bounded by Oman (the south) and Iran (the north)") == NO_PARSE
+    assert parse_point("bounded by Oman (the south) and Iran (the north)") == NO_PARSE
 
 
 def test_single_number_parens_never_match():
     text = "the longitude of Oman (57.0) and of Iran (53.688)"
-    assert not parse_bbox(text).found
-    assert not parse_point(text).found
+    assert parse_bbox(text) == NO_PARSE
+    assert parse_point(text) == NO_PARSE
 
 
 def test_exponent_members_never_match():
-    assert not parse_bbox("(1e5, 2, 3, 4)").found
-    assert not parse_point("(1e5, 2)").found
+    assert parse_bbox("(1e5, 2, 3, 4)") == NO_PARSE
+    assert parse_point("(1e5, 2)") == NO_PARSE
 
 
 def test_last_tuple_wins():
     text = "first guess (0.000, 0.000, 1.000, 1.000), revised (10.0, 20.0, 30.0, 40.0)"
-    assert parse_bbox(text).box == BoundingBox(10, 20, 30, 40)
+    assert parse_bbox(text) == (BoundingBox(10, 20, 30, 40), ())
     text = "maybe (1.0, 2.0)? no: (3.0, 4.0)"
-    assert parse_point(text).point == GeoPoint(lat=3.0, lon=4.0)
+    assert parse_point(text) == (GeoPoint(lat=3.0, lon=4.0), ())
 
 
 def test_whitespace_and_newlines_inside_tuple():
     parsed = parse_bbox("( 51.197,\n 12.437 ,63.003 , 32.648 )")
-    assert parsed.box == BoundingBox(51.197, 12.437, 63.003, 32.648)
+    assert parsed == (BoundingBox(51.197, 12.437, 63.003, 32.648), ())
 
 
 def test_plus_signs_accepted():
-    parsed = parse_point("(+10.5, -3.25)")
-    assert parsed.point == GeoPoint(lat=10.5, lon=-3.25)
+    assert parse_point("(+10.5, -3.25)") == (GeoPoint(lat=10.5, lon=-3.25), ())
 
 
 # --- validation outcomes -----------------------------------------------------
 
 
 def test_no_tuple_at_all():
-    parsed = parse_bbox("I cannot determine a bounding box for this location.")
-    assert not parsed.found
-    assert not parsed.ok
-    assert parsed.values is None
-    assert parsed.errors == ()
+    assert parse_bbox("I cannot determine a bounding box for this location.") == NO_PARSE
 
 
-def test_order_violation_kept():
-    parsed = parse_bbox("(10.000, 5.000, 3.000, 12.000)")
-    assert parsed.found
-    assert not parsed.ok
-    assert parsed.values == (10.0, 5.0, 3.0, 12.0)
-    assert parsed.errors == ("order",)
+def test_order_violation_flagged():
+    assert parse_bbox("(10.000, 5.000, 3.000, 12.000)") == (None, ("invalid_order",))
 
 
-def test_range_violation_kept():
-    parsed = parse_bbox("(185.000, 10.000, 190.000, 20.000)")
-    assert parsed.found
-    assert not parsed.ok
-    assert parsed.values == (185.0, 10.0, 190.0, 20.0)
-    assert parsed.errors == ("range",)
+def test_range_violation_flagged():
+    assert parse_bbox("(185.000, 10.000, 190.000, 20.000)") == (None, ("invalid_range",))
 
 
 def test_order_and_range_violations_stack():
     parsed = parse_bbox("(190.0, 50.0, 185.0, -95.0)")
-    assert parsed.errors == ("order", "range")
-    assert parsed.box is None
+    assert parsed == (None, ("invalid_order", "invalid_range"))
 
 
 def test_point_range_violation():
-    parsed = parse_point("(95.163, 10.0)")
-    assert parsed.found
-    assert not parsed.ok
-    assert parsed.values == (95.163, 10.0)
-    assert parsed.errors == ("range",)
+    assert parse_point("(95.163, 10.0)") == (None, ("invalid_range",))
 
 
 def test_point_tuple_order_is_lat_lon():
-    parsed = parse_point("(48.858, 2.2959)")
-    assert parsed.point == GeoPoint(lat=48.858, lon=2.2959)
+    assert parse_point("(48.858, 2.2959)") == (GeoPoint(lat=48.858, lon=2.2959), ())
 
 
 def test_degenerate_tuple_is_valid():
-    parsed = parse_bbox("(5.000, 5.000, 5.000, 5.000)")
-    assert parsed.ok
-    assert parsed.box == BoundingBox(5, 5, 5, 5)
+    assert parse_bbox("(5.000, 5.000, 5.000, 5.000)") == (BoundingBox(5, 5, 5, 5), ())
 
 
 def test_four_tuple_not_a_point_and_two_tuple_not_a_box():
-    assert not parse_point("(2.293, 48.857, 2.297, 48.859)").found
-    assert not parse_bbox("(48.858, 2.2959)").found
+    assert parse_point("(2.293, 48.857, 2.297, 48.859)") == NO_PARSE
+    assert parse_bbox("(48.858, 2.2959)") == NO_PARSE
 
 
 # --- properties ---------------------------------------------------------------
@@ -183,16 +161,12 @@ _noise = st.sampled_from(
 @given(_box(), _box(), _noise, _noise)
 def test_last_box_always_wins(first, second, prefix, middle):
     text = f"{prefix}{format_bbox(first)} {middle}{format_bbox(second)}"
-    parsed = parse_bbox(text)
-    assert parsed.ok
-    assert parsed.box == second
+    assert parse_bbox(text) == (second, ())
 
 
 @given(st.builds(lambda lat, lon: GeoPoint(lat=lat, lon=lon), _lat, _lon), _noise)
 def test_point_parse_with_noise(point, prefix):
-    parsed = parse_point(f"{prefix}{format_point(point)}")
-    assert parsed.ok
-    assert parsed.point == point
+    assert parse_point(f"{prefix}{format_point(point)}") == (point, ())
 
 
 _reply = st.lists(st.sampled_from(REPLY_TOKENS), max_size=30).map("".join)
@@ -204,8 +178,7 @@ _reply = st.lists(st.sampled_from(REPLY_TOKENS), max_size=30).map("".join)
 @example("(1., 2, 3, 4) (0, 1, 2, 3)) (-1, +2, .5, 3)")
 def test_parse_bbox_takes_last_findall_match(text):
     matches = _BBOX_RE.findall(text)
-    expected = tuple(float(v) for v in matches[-1]) if matches else None
-    assert parse_bbox(text).values == expected
+    assert _last_tuple(_BBOX_RE, text) == (matches[-1] if matches else None)
 
 
 @given(_reply)
@@ -214,8 +187,7 @@ def test_parse_bbox_takes_last_findall_match(text):
 @example("((0, 1) (-1, +2.5 (.5, 3)")
 def test_parse_point_takes_last_findall_match(text):
     matches = _POINT_RE.findall(text)
-    expected = tuple(float(v) for v in matches[-1]) if matches else None
-    assert parse_point(text).values == expected
+    assert _last_tuple(_POINT_RE, text) == (matches[-1] if matches else None)
 
 
 # --- long replies -----------------------------------------------------------------
@@ -230,5 +202,5 @@ def test_long_transcript_with_many_parentheses_parses_fast():
     start = time.perf_counter()
     parsed = parse_bbox(text)
     elapsed = time.perf_counter() - start
-    assert parsed.box == BoundingBox(1.0, 2.0, 3.0, 4.0)
+    assert parsed == (BoundingBox(1.0, 2.0, 3.0, 4.0), ())
     assert elapsed < 0.5

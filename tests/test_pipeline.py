@@ -1,11 +1,29 @@
+import dataclasses
 import signal
 import sys
 import threading
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from fixtures import RECALLER_OUT_OF_RANGE, echo_gold_script, make_fixture_records
-from geobox import BoundingBox, ChatClient, GeocoderClient, LocationRecord
+from fixtures import (
+    REPLY_TOKENS,
+    RECALLER_OUT_OF_RANGE,
+    echo_gold_script,
+    make_fixture_gazetteer,
+    make_fixture_records,
+)
+from geobox import (
+    BoundingBox,
+    ChatClient,
+    GazetteerStore,
+    GeocoderClient,
+    GeoInfo,
+    GeoPoint,
+    LocationRecord,
+    Mention,
+)
 from geobox.pipeline import Approach, ExperimentConfig, RunDeps, run_experiment, run_record
 
 # --- plumbing ----------------------------------------------------------------
@@ -384,3 +402,66 @@ def test_end_to_end_default_recaller_model_is_reasoner_model(records, chat_stub)
     run_record(ExperimentConfig(Approach.END_TO_END, "only-m"), target, deps)
     models = [r["model"] for r in chat_stub.core.requests]
     assert models == ["only-m", "only-m"]
+
+
+# --- hostile replies -------------------------------------------------------------
+
+_FLAGS = {"no_parse", "invalid_order", "invalid_range", "no_gold_name", "degraded"}
+_FLAG_PREFIXES = ("recall_miss:", "invalid_mention:")
+
+
+class _ReplyChat:
+    """Answers each chat call with the next of the given replies."""
+
+    def __init__(self, replies):
+        self._replies = iter(replies)
+
+    def complete(self, request):
+        return next(self._replies)
+
+
+class _FixedGeocoder:
+    def __init__(self, info):
+        self._info = info
+
+    def geocode(self, name):
+        return self._info
+
+
+_GULF = make_fixture_records()[0]
+_RECORDS = [
+    _GULF,
+    dataclasses.replace(_GULF, record_id="nameless", gold_name=None, gold_country=None),
+    dataclasses.replace(
+        _GULF, record_id="ungilded", mentions=tuple(Mention(m.name) for m in _GULF.mentions)
+    ),
+]
+_OMAN = GeoInfo(name="Oman", center=GeoPoint(lat=21.0, lon=57.0))
+
+# Whole tuples too, usable or not, so that many replies parse.
+_TUPLES = ("(46.5, 6.6)", "(95.0, 6.6)", "(6.1, 46.2, 6.9, 46.5)", "(6.9, 46.5, 6.1, 46.2)")
+_reply = (
+    st.lists(st.sampled_from(REPLY_TOKENS + _TUPLES), max_size=30).map("".join)
+    | st.text()
+    | st.sampled_from(_TUPLES)
+)
+
+
+@pytest.mark.parametrize("approach", list(Approach), ids=lambda a: a.value)
+@given(
+    st.sampled_from(_RECORDS),
+    st.lists(_reply, min_size=2, max_size=2),
+    st.sampled_from([GazetteerStore(), make_fixture_gazetteer()]),
+    st.sampled_from([None, _OMAN]),
+)
+@example(_GULF, [_TUPLES[0]] * 2, GazetteerStore(), _OMAN)
+@example(_GULF, [_TUPLES[2]] * 2, GazetteerStore(), _OMAN)
+def test_any_reply_gives_a_prediction_with_known_flags(approach, record, replies, store, info):
+    deps = RunDeps(chat=_ReplyChat(replies), store=store, geocoder=_FixedGeocoder(info))
+    prediction = run_record(ExperimentConfig(approach, "m"), record, deps)
+    for flag in prediction.flags:
+        assert flag in _FLAGS or flag.startswith(_FLAG_PREFIXES), flag
+    if approach is Approach.KNOWLEDGE_POINT:
+        assert prediction.bbox is None
+    else:
+        assert prediction.point is None

@@ -21,8 +21,6 @@ PUBLIC_API = [
     "LocationRecord",
     "Mention",
     "MetricsReport",
-    "ParsedBox",
-    "ParsedPoint",
     "Prediction",
     "PromptKind",
     "ProtocolError",
