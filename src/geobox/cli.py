@@ -30,7 +30,7 @@ from .dataset import (
 )
 from .gazetteer import GazetteerStore, GeocoderClient
 from .metrics import MetricsReport, aggregate
-from .netutil import TransportError, atomic_write_text
+from .netutil import BAD_ROW, TransportError, atomic_write_text, decode_json_line
 from .pipeline import Approach, ExperimentConfig, RunDeps, run_experiment
 from .reasoner import ChatClient
 from .report import render_error_report, render_report
@@ -150,8 +150,8 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
         return args
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            loaded = decode_json_line(fh.read())
+    except (OSError, *BAD_ROW) as exc:
         raise UsageError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(loaded, dict):
         raise UsageError(f"config {args.config} must hold a JSON object")
@@ -305,9 +305,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for path in args.inputs:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
-            report = MetricsReport.from_record(record)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+                report = MetricsReport.from_record(decode_json_line(fh.read()))
+        except (OSError, *BAD_ROW) as exc:
             raise DataError(f"cannot read metrics report {path}: {exc}") from exc
         entries.append((report.label, report))
     print(render_report(entries, fmt=args.format))

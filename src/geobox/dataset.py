@@ -23,7 +23,7 @@ from .geo import (
     geoinfo_to_obj,
 )
 from .metrics import Prediction
-from .netutil import atomic_write_jsonl, decode_json_line, gc_paused, jsonl_lines
+from .netutil import atomic_write_jsonl, read_jsonl
 from .prompts import PromptKind
 from .reasoner import build_prompt
 
@@ -138,32 +138,27 @@ def load_dataset(path: str | os.PathLike) -> tuple[list[LocationRecord], LoadRep
     Raises:
         DataError: file unreadable, or no line yielded a valid record.
     """
-    records: list[LocationRecord] = []
-    report = LoadReport()
+    skipped: list[tuple[int, str]] = []
     seen_ids: set[str] = set()
+
+    def build(obj: dict) -> LocationRecord:
+        record = record_from_obj(obj)
+        if record.record_id in seen_ids:
+            raise ValueError(f"duplicate id {record.record_id!r}")
+        seen_ids.add(record.record_id)
+        return record
+
+    def skip(line_no: int, exc: Exception) -> None:
+        skipped.append((line_no, str(exc)))
+        logger.warning("dataset %s line %d skipped: %s", path, line_no, exc)
+
     try:
-        with open(path, "r", encoding="utf-8") as fh, gc_paused():
-            for line_no, line in jsonl_lines(fh):
-                try:
-                    record = record_from_obj(decode_json_line(line))
-                except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                    report.skipped.append((line_no, str(exc)))
-                    logger.warning("dataset %s line %d skipped: %s", path, line_no, exc)
-                    continue
-                if record.record_id in seen_ids:
-                    report.skipped.append((line_no, f"duplicate id {record.record_id!r}"))
-                    logger.warning(
-                        "dataset %s line %d: duplicate id %r", path, line_no, record.record_id
-                    )
-                    continue
-                seen_ids.add(record.record_id)
-                records.append(record)
+        records = read_jsonl(path, build, skip)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     if not records:
         raise DataError(f"dataset {path} contains no valid records")
-    report.n_loaded = len(records)
-    return records, report
+    return records, LoadReport(len(records), skipped)
 
 
 def write_dataset(records: Iterable[LocationRecord], path: str | os.PathLike) -> None:
@@ -319,8 +314,15 @@ def prediction_from_obj(obj: dict) -> Prediction:
         point,
         str(obj.get("raw_text", "")),
         tuple([(str(name), geoinfo_from_obj(info)) for name, info in obj.get("recalled", [])]),
-        tuple([str(f) for f in obj.get("flags", [])]),
+        tuple([str(f) for f in _flags_list(obj.get("flags", []))]),
     )
+
+
+def _flags_list(flags: Iterable) -> Iterable:
+    """``flags``, unless a string or object, which would iterate as characters or keys."""
+    if isinstance(flags, (str, dict)):
+        raise TypeError(f"flags must be a list, got {type(flags).__name__}")
+    return flags
 
 
 def write_predictions(predictions: Iterable[Prediction], path: str | os.PathLike) -> None:
@@ -330,14 +332,10 @@ def write_predictions(predictions: Iterable[Prediction], path: str | os.PathLike
 
 def read_predictions(path: str | os.PathLike) -> list[Prediction]:
     """Read predictions from JSONL; the first bad line raises DataError with its number."""
-    predictions = []
+    def refuse(line_no: int, exc: Exception) -> None:
+        raise DataError(f"predictions {path} line {line_no}: {exc}") from exc
+
     try:
-        with open(path, "r", encoding="utf-8") as fh, gc_paused():
-            for line_no, line in jsonl_lines(fh):
-                try:
-                    predictions.append(prediction_from_obj(decode_json_line(line)))
-                except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                    raise DataError(f"predictions {path} line {line_no}: {exc}") from exc
+        return read_jsonl(path, prediction_from_obj, refuse)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read predictions {path}: {exc}") from exc
-    return predictions

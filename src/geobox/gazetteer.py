@@ -25,9 +25,7 @@ from .netutil import (
     ServiceClient,
     atomic_write_jsonl,
     check_http_url,
-    decode_json_line,
-    gc_paused,
-    jsonl_lines,
+    read_jsonl,
     request_json,
 )
 
@@ -75,17 +73,15 @@ class GazetteerStore:
         Lines that fail to parse or validate are skipped with a warning;
         a gazetteer with a few bad rows is still a usable gazetteer.
         """
-        store = cls()
-        skipped = 0
-        with open(path, "r", encoding="utf-8") as fh, gc_paused():
-            for line_no, line in jsonl_lines(fh):
-                try:
-                    store.add(geoinfo_from_obj(decode_json_line(line)))
-                except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                    skipped += 1
-                    logger.warning("gazetteer %s line %d skipped: %s", path, line_no, exc)
+        skipped = []
+
+        def skip(line_no: int, exc: Exception) -> None:
+            skipped.append(line_no)
+            logger.warning("gazetteer %s line %d skipped: %s", path, line_no, exc)
+
+        store = cls(read_jsonl(path, geoinfo_from_obj, skip))
         if skipped:
-            logger.warning("gazetteer %s: %d line(s) skipped", path, skipped)
+            logger.warning("gazetteer %s: %d line(s) skipped", path, len(skipped))
         return store
 
     def save(self, path: str | os.PathLike) -> None:

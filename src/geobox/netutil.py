@@ -97,12 +97,8 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def jsonl_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """Yield ``(line number, stripped line)`` for each non-blank line, counting from 1."""
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if line:
-            yield line_no, line
+# A bad row of JSON input to every reader: bad UTF-8/JSON, wrong shape, float overflow.
+BAD_ROW = (ValueError, KeyError, TypeError, OverflowError)
 
 
 def decode_json_line(line: str) -> Any:
@@ -111,14 +107,37 @@ def decode_json_line(line: str) -> Any:
     ``raw_decode`` skips ``json.loads``'s per-call checks. Anything it
     cannot take whole (an error, trailing characters, a BOM, leading
     whitespace) goes through ``json.loads``, so errors keep its messages.
+    One error differs: nesting too deep for the decoder is a
+    ``ValueError`` here, where ``json.loads`` raises ``RecursionError``.
     """
     try:
-        obj, end = _raw_decode(line)
-    except ValueError:
-        end = -1
-    if end == len(line):
-        return obj
-    return json.loads(line)
+        try:
+            obj, end = _raw_decode(line)
+        except ValueError:
+            end = -1
+        if end == len(line):
+            return obj
+        return json.loads(line)
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deep: {exc}") from None
+
+
+def read_jsonl(path: str | os.PathLike, build: Callable, bad: Callable) -> list:
+    """``build(value)`` for each non-blank line of a UTF-8 JSONL file, in order, GC paused.
+
+    A line (numbered from 1) whose decoding or ``build`` raises a
+    ``BAD_ROW`` goes to ``bad(line number, error)`` instead; it may raise.
+    """
+    rows: list = []
+    with open(path, "r", encoding="utf-8") as fh, gc_paused():
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                try:
+                    rows.append(build(decode_json_line(line)))
+                except BAD_ROW as exc:
+                    bad(line_no, exc)
+    return rows
 
 
 class JsonlCache:
@@ -159,7 +178,7 @@ class JsonlCache:
                     obj = decode_json_line(line.decode("utf-8"))  # per line: a torn one is skipped
                     # Last write wins, matching append order.
                     self._data[obj["key"]] = obj["value"]
-                except (ValueError, KeyError, TypeError):  # bad UTF-8 and JSON are ValueErrors too
+                except BAD_ROW:
                     skipped += 1
                     logger.warning("skipping corrupt cache line %d in %s", line_no, self._path)
         self._torn_tail = not raw.endswith(b"\n")

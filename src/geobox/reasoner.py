@@ -164,12 +164,9 @@ def _order_by_appearance(
 # "<Name> has a longitude of <lon> and latitude of <lat>" with the name
 # reaching back to the previous sentence/clause boundary. Names holding
 # internal punctuation (e.g. "St. Petersburg") split at the dot; that is
-# the cost of boundary detection over unstructured output.
-_MENTION_RE = re.compile(
-    rf"([^.!?:;\n]+?)\s+has a longitude of\s+({_NUM})\s+and latitude of\s+({_NUM})"
-)
-# ``_MENTION_RE`` split at its literal: the name group's stop characters
-# before it, and the numbers after it.
+# the cost of boundary detection over unstructured output. The reference
+# regex, ``MENTION_RE`` in ``tests/test_reasoner.py``, is split here at its
+# literal: the name group's stop characters before it, the numbers after.
 _LITERAL = "has a longitude of"
 _BOUNDARIES = ".!?:;\n"
 _TAIL_RE = re.compile(rf"\s+({_NUM})\s+and latitude of\s+({_NUM})")
@@ -180,9 +177,10 @@ def extract_mentions(text: str) -> list[RecalledMention]:
 
     Out-of-range coordinates are kept (``valid=False``); cleaning is
     limited to trimming whitespace and markdown emphasis around names.
-    Finds what ``_MENTION_RE.finditer`` finds, in time linear in the
-    text's length: each literal is found once, the numbers after it are
-    matched forwards, and only then is the name read backwards.
+    Finds what ``MENTION_RE.finditer`` (``tests/test_reasoner.py``)
+    finds, in time linear in the text's length: each literal is found
+    once, the numbers after it are matched forwards, and only then is the
+    name read backwards.
     """
     mentions = []
     pos = scan = 0
@@ -207,7 +205,7 @@ def extract_mentions(text: str) -> list[RecalledMention]:
 
 
 def _name_span(text: str, pos: int, lit: int) -> tuple[int, int] | None:
-    """Where ``_MENTION_RE``'s name lies in a match from ``pos`` with its literal at ``lit``.
+    """Where ``MENTION_RE``'s name lies in a match from ``pos`` with its literal at ``lit``.
 
     The name ends where the whitespace before ``lit`` starts, and reaches
     back to the last boundary character or to ``pos``, whichever is

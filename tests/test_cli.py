@@ -335,6 +335,10 @@ def test_unreadable_config_exits_1(capsys, tmp_path):
     capsys.readouterr()
     assert main(["run", "--config", str(binary)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: cannot read config {binary}: 'utf-8' codec")
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"retries": ' + "9" * 5000 + "}")  # past json's 4300-digit limit
+    assert main(["run", "--config", str(huge)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {huge}: Exceeds")
 
 
 def test_config_presets_do_not_leak_into_the_next_call(
@@ -573,10 +577,88 @@ def test_report_without_inputs_exits_1():
     assert main(["report"]) == EXIT_USAGE
 
 
-def test_report_bad_input_exits_2(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("not json")
-    assert main(["report", str(bad)]) == EXIT_DATA
+_STORED_REPORT = {
+    "label": "direct/m",
+    "n_total": 2,
+    "n_covered": 1,
+    "coverage_pct": 50.0,
+    "mean_distance_km": 1.5,
+    "area_precision": 0.5,
+    "area_recall": 0.5,
+    "area_f1": 0.5,
+}
+
+
+def test_report_bad_input_exits_2(capsys, tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_STORED_REPORT))
+    assert main(["report", str(good)]) == EXIT_OK
+    stored = json.dumps(_STORED_REPORT)
+    for text in [
+        "not json",
+        # numbers no float holds: OverflowError in MetricsReport.from_record
+        stored.replace("50.0", "9" * 400),
+        stored.replace('"n_total": 2', '"n_total": 1e400'),
+    ]:
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["report", str(bad)]) == EXIT_DATA, text
+        assert capsys.readouterr().err.startswith(f"data error: cannot read metrics report {bad}: ")
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "reader", ["dataset", "predictions", "gazetteer", "cache", "config", "report"]
+)
+def test_a_deeply_nested_json_value_is_bad_input(
+    capsys, caplog, tmp_path, records, dataset_path, chat_stub, reader
+):
+    """JSON nested 100 000 deep is a bad line or file to every reader, not a RecursionError."""
+    _echo(chat_stub, records)
+    bad = tmp_path / f"{reader}.jsonl"
+    argv = _run_args(dataset_path, chat_stub, tmp_path / "p.jsonl")
+    code = EXIT_OK
+    if reader == "dataset":
+        bad.write_text(_DEEP + "\n" + (tmp_path / "dataset.jsonl").read_text())
+        argv = _run_args(str(bad), chat_stub, tmp_path / "p.jsonl")
+        message = f"dataset {bad} line 1 skipped: JSON nested too deep"
+    elif reader == "predictions":
+        assert main(argv) == EXIT_OK
+        bad.write_text((tmp_path / "p.jsonl").read_text().splitlines()[0] + "\n" + _DEEP + "\n")
+        argv = ["eval", "--predictions", str(bad), "--dataset", dataset_path]
+        code, message = EXIT_DATA, f"data error: predictions {bad} line 2: JSON nested too deep"
+    elif reader == "gazetteer":
+        make_fixture_gazetteer(records).save(bad)
+        bad.write_text(_DEEP + "\n" + bad.read_text())
+        argv[2] = "geoaug-oracle"
+        argv += ["--gazetteer", str(bad)]
+        message = f"gazetteer {bad} line 1 skipped: JSON nested too deep"
+    elif reader == "cache":
+        bad = tmp_path / "cache" / "llm_cache.jsonl"
+        bad.parent.mkdir()
+        bad.write_text(_DEEP + "\n")
+        argv += ["--cache-dir", str(bad.parent)]
+        message = f"skipping corrupt cache line 1 in {bad}"
+    elif reader == "config":
+        bad.write_text(_DEEP)
+        argv = ["run", "--config", str(bad)]
+        code, message = EXIT_USAGE, f"error: cannot read config {bad}: JSON nested too deep"
+    else:
+        bad.write_text(_DEEP)
+        argv = ["report", str(bad)]
+        code = EXIT_DATA
+        message = f"data error: cannot read metrics report {bad}: JSON nested too deep"
+    capsys.readouterr()
+    caplog.clear()
+    assert main(argv) == code
+    if code == EXIT_OK:
+        assert message in caplog.text
+        assert len(read_predictions(tmp_path / "p.jsonl")) == len(records)
+    else:
+        assert capsys.readouterr().err.startswith(message)
 
 
 def test_report_inputs_via_config(capsys, tmp_path, records, dataset_path, chat_stub):

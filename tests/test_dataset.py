@@ -342,6 +342,22 @@ def test_read_predictions_rejects_a_number_too_large_for_a_float(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flags, kind",
+    [("invalid_range", "str"), ({"invalid_range": True}, "dict")],
+    ids=["string", "object"],
+)
+def test_read_predictions_refuses_flags_that_are_not_a_list(tmp_path, flags, kind):
+    # iterated, a string gives one flag per character and an object its keys
+    good = prediction_to_obj(_predictions()[0])
+    path = tmp_path / "preds.jsonl"
+    lines = [json.dumps(good), json.dumps({**good, "flags": flags})]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as refused:
+        read_predictions(path)
+    assert str(refused.value) == f"predictions {path} line 2: flags must be a list, got {kind}"
+
+
+@pytest.mark.parametrize(
     "field, bad",
     [
         ("bbox", [1, 2, 3, 4, 5]),

@@ -1,6 +1,8 @@
+import ast
 import errno
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import threading
@@ -303,3 +305,33 @@ def test_importing_the_cli_loads_no_http_or_tls_stack():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def _json_decoding_calls(node, where, found):
+    """Append ``where`` (the innermost enclosing function) for each ``json.load(s)`` call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _json_decoding_calls(child, child.name, found)
+            continue
+        func = getattr(child, "func", None)
+        if (
+            isinstance(child, ast.Call)
+            and isinstance(func, ast.Attribute)
+            and func.attr in ("load", "loads")
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "json"
+        ):
+            found.append(where)
+        _json_decoding_calls(child, where, found)
+
+
+def test_json_input_is_decoded_only_by_netutil():
+    # Every file the package reads goes through decode_json_line, so what
+    # counts as malformed JSON is decided in one place; request_json
+    # decodes reply bytes.
+    calls = []
+    for path in sorted(pathlib.Path(geobox.__file__).parent.glob("*.py")):
+        found = []
+        _json_decoding_calls(ast.parse(path.read_text(encoding="utf-8")), "<module>", found)
+        calls += [(path.name, where) for where in found]
+    assert calls == [("netutil.py", "decode_json_line"), ("netutil.py", "request_json")]

@@ -204,3 +204,15 @@ def test_long_transcript_with_many_parentheses_parses_fast():
     elapsed = time.perf_counter() - start
     assert parsed == (BoundingBox(1.0, 2.0, 3.0, 4.0), ())
     assert elapsed < 0.5
+
+
+def test_long_transcript_with_many_parentheses_parses_point_fast():
+    # the point comes first and thousands of "(" that open no 2-tuple follow
+    filler = "(see step 3) (1, 2, 3) (lat (-4.5, "
+    text = "(46.5, 6.6) " + filler * (64 * 1024 // len(filler) + 1)
+    assert len(text) > 64 * 1024
+    start = time.perf_counter()
+    parsed = parse_point(text)
+    elapsed = time.perf_counter() - start
+    assert parsed == (GeoPoint(46.5, 6.6), ())
+    assert elapsed < 0.5

@@ -34,7 +34,8 @@ from geobox import (
 )
 from geobox.netutil import EmptyResponseError, ProtocolError, TransportError
 from geobox.prompts import PromptKind
-from geobox.reasoner import _MENTION_RE, cache_key
+from geobox.parsing import _NUM
+from geobox.reasoner import cache_key
 
 # --- prompt assembly vs goldens ---------------------------------------------
 
@@ -183,9 +184,18 @@ def test_extract_mentions_restarts_mid_clause():
     assert [(m.lon, m.lat) for m in got] == [(1.0, 2.0), (3.0, 4.0)]
 
 
+# The reference for extract_mentions: "<Name> has a longitude of <lon>
+# and latitude of <lat>", the name reaching back to the previous
+# sentence/clause boundary. Its backtracking is quadratic on long
+# clauses, which is why extract_mentions does not use it.
+MENTION_RE = re.compile(
+    rf"([^.!?:;\n]+?)\s+has a longitude of\s+({_NUM})\s+and latitude of\s+({_NUM})"
+)
+
+
 def _finditer_mentions(text):
     mentions = []
-    for match in _MENTION_RE.finditer(text):
+    for match in MENTION_RE.finditer(text):
         name = match.group(1).strip().strip("*`_").strip()
         if name:
             mentions.append(
@@ -242,7 +252,7 @@ def test_boundary_and_space_runs_before_each_phrase_extract_fast():
 
 def test_str_isspace_agrees_with_the_regex_whitespace_class():
     # extract_mentions reads whitespace runs with str.isspace, while
-    # _MENTION_RE reads them with \s; the two must be one set.
+    # MENTION_RE reads them with \s; the two must be one set.
     chars = "".join(map(chr, range(sys.maxunicode + 1)))
     assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
 
