@@ -88,6 +88,13 @@ class LoadReport:
         return len(self.skipped)
 
 
+def _json_list(value: Iterable, field: str) -> Iterable:
+    """``value``, unless a string or object, which would iterate as characters or keys."""
+    if isinstance(value, (str, dict)):
+        raise TypeError(f"{field} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _mention_from_obj(obj: dict) -> Mention:
     if not isinstance(obj, dict):
         raise TypeError(f"expected a mention object, got {type(obj).__name__}")
@@ -104,7 +111,7 @@ def record_from_obj(obj: dict) -> LocationRecord:
         str(obj["id"]),
         str(obj["description"]),
         bbox_from_obj(obj["gold_bbox"]),
-        tuple([_mention_from_obj(m) for m in obj.get("mentions", [])]),
+        tuple([_mention_from_obj(m) for m in _json_list(obj.get("mentions", []), "mentions")]),
         str(obj["gold_name"]) if obj.get("gold_name") is not None else None,
         str(obj["gold_country"]) if obj.get("gold_country") is not None else None,
     )
@@ -301,7 +308,7 @@ def prediction_from_obj(obj: dict) -> Prediction:
     bbox = bbox_from_obj(bbox) if bbox else None
     point = obj.get("point")
     if point:
-        lat, lon = point
+        lat, lon = _json_list(point, "point")
         point = GeoPoint(float(lat), float(lon))
     else:
         point = None
@@ -313,16 +320,14 @@ def prediction_from_obj(obj: dict) -> Prediction:
         bbox,
         point,
         str(obj.get("raw_text", "")),
-        tuple([(str(name), geoinfo_from_obj(info)) for name, info in obj.get("recalled", [])]),
-        tuple([str(f) for f in _flags_list(obj.get("flags", []))]),
+        tuple(
+            [
+                (str(name), geoinfo_from_obj(info))
+                for name, info in _json_list(obj.get("recalled", []), "recalled")
+            ]
+        ),
+        tuple([str(f) for f in _json_list(obj.get("flags", []), "flags")]),
     )
-
-
-def _flags_list(flags: Iterable) -> Iterable:
-    """``flags``, unless a string or object, which would iterate as characters or keys."""
-    if isinstance(flags, (str, dict)):
-        raise TypeError(f"flags must be a list, got {type(flags).__name__}")
-    return flags
 
 
 def write_predictions(predictions: Iterable[Prediction], path: str | os.PathLike) -> None:

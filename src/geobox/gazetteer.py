@@ -20,14 +20,7 @@ import os
 from typing import Iterable, Iterator
 
 from .geo import BoundingBox, GeoInfo, GeoPoint, geoinfo_from_obj, geoinfo_to_obj
-from .netutil import (
-    ProtocolError,
-    ServiceClient,
-    atomic_write_jsonl,
-    check_http_url,
-    read_jsonl,
-    request_json,
-)
+from .netutil import ProtocolError, ServiceClient, atomic_write_jsonl, read_jsonl, request_json
 
 logger = logging.getLogger(__name__)
 
@@ -109,10 +102,9 @@ class GeocoderClient(ServiceClient):
     RATE_PER_SEC = 10.0
 
     def __init__(self, endpoint: str, api_key: str | None = None, **options) -> None:
-        check_http_url(endpoint, "geocoder endpoint")
         options.setdefault("rate_per_sec", self.RATE_PER_SEC)
         self._api_key = api_key if api_key is not None else os.environ.get("GEOCODER_API_KEY")
-        super().__init__(endpoint, **options)
+        super().__init__(endpoint, "geocoder endpoint", **options)
 
     def geocode(self, name: str) -> GeoInfo | None:
         """Resolve a location name to GeoInfo, or None when unknown.
@@ -124,11 +116,11 @@ class GeocoderClient(ServiceClient):
             TransportError: endpoint unreachable or failing after retries.
             ProtocolError: response is not the shape described above.
         """
-        def send(pool, **transport):
+        def send():
             params = {"address": name}
             if self._api_key:
                 params["key"] = self._api_key
-            return request_json(pool, "GET", self._url, params=params, **transport)
+            return request_json(self, "GET", params=params)
 
         key = json.dumps([self._url, normalize_name(name)], separators=(",", ":"))
         return self._fetch(key, send, decode=lambda data: self._parse_response(name, data))

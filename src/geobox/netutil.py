@@ -18,6 +18,7 @@ import contextlib
 import gc
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -122,11 +123,27 @@ def decode_json_line(line: str) -> Any:
         raise ValueError(f"JSON nested too deep: {exc}") from None
 
 
+# Text decoded from UTF-8 holds a lone surrogate only through a \u escape, so the
+# readers check only a line holding one: first `"\\" in line`, which memchr answers
+# for most lines, then this pattern, which finds "\u" faster than `in` does.
+_U_ESCAPE = re.compile(r"\\u")
+
+
+def _refuse_lone_surrogates(value: Any) -> None:
+    """Raise ``UnicodeEncodeError``, a ``ValueError``, if ``value`` holds a lone surrogate.
+
+    UTF-8 cannot encode one, so such a value could be neither cached nor
+    written.
+    """
+    _encode_line(value).encode("utf-8")
+
+
 def read_jsonl(path: str | os.PathLike, build: Callable, bad: Callable) -> list:
     """``build(value)`` for each non-blank line of a UTF-8 JSONL file, in order, GC paused.
 
     A line (numbered from 1) whose decoding or ``build`` raises a
-    ``BAD_ROW`` goes to ``bad(line number, error)`` instead; it may raise.
+    ``BAD_ROW``, or whose value holds a lone surrogate, goes to
+    ``bad(line number, error)`` instead; it may raise.
     """
     rows: list = []
     with open(path, "r", encoding="utf-8") as fh, gc_paused():
@@ -134,7 +151,10 @@ def read_jsonl(path: str | os.PathLike, build: Callable, bad: Callable) -> list:
             line = line.strip()
             if line:
                 try:
-                    rows.append(build(decode_json_line(line)))
+                    value = decode_json_line(line)
+                    if "\\" in line and _U_ESCAPE.search(line):
+                        _refuse_lone_surrogates(value)
+                    rows.append(build(value))
                 except BAD_ROW as exc:
                     bad(line_no, exc)
     return rows
@@ -144,9 +164,10 @@ class JsonlCache:
     """Append-only key/value cache persisted as JSONL.
 
     One ``{"key": ..., "value": ...}`` object per line. Loading skips
-    corrupt lines with a warning instead of failing: a torn final line
-    from a killed process must not poison the rest of the cache. With
-    ``path=None`` the cache is memory-only.
+    corrupt lines, and lines holding a lone surrogate, with a warning
+    instead of failing: a torn final line from a killed process must not
+    poison the rest of the cache. With ``path=None`` the cache is
+    memory-only.
 
     Writes go to disk before the value is returned to the caller, so a
     crash after a successful remote call never loses the response. The
@@ -175,7 +196,10 @@ class JsonlCache:
                 if not line:
                     continue
                 try:
-                    obj = decode_json_line(line.decode("utf-8"))  # per line: a torn one is skipped
+                    text = line.decode("utf-8")  # per line: a torn one is skipped
+                    obj = decode_json_line(text)
+                    if "\\" in text and _U_ESCAPE.search(text):
+                        _refuse_lone_surrogates(obj)
                     # Last write wins, matching append order.
                     self._data[obj["key"]] = obj["value"]
                 except BAD_ROW:
@@ -191,10 +215,12 @@ class JsonlCache:
         return self._data.get(key)
 
     def put(self, key: str, value: Any) -> None:
+        if self._path is None:
+            self._data[key] = value
+            return
         line = (_encode_line({"key": key, "value": value}) + "\n").encode("utf-8")
         with self._lock:
-            if self._path is not None:
-                self._append(line)
+            self._append(line)
             self._data[key] = value
 
     def _append(self, line: bytes) -> None:
@@ -230,11 +256,15 @@ class ConnectionPool:
     closed meanwhile is replaced by a new one once, without counting as a
     failed attempt. HTTPS verifies certificates and host names with
     ``ssl.create_default_context()``. Redirects are returned, not followed.
-    A port that is not a number from 0 to 65535 raises ``ValueError``.
+    Every request goes to the path and query of ``url``, which
+    ``check_http_url`` has passed. A port that is not a number from 0 to
+    65535 raises ``ValueError``.
     """
 
     def __init__(self, url: str) -> None:
         parts = urllib.parse.urlsplit(url)
+        self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        self._join = "&" if parts.query else "?"  # before a request's own parameters
         self._https = parts.scheme == "https"
         default_port = 443 if self._https else 80
         port = parts.port
@@ -254,19 +284,19 @@ class ConnectionPool:
         self._tls: ssl.SSLContext | None = None
 
     def request(
-        self, method: str, url: str, body: bytes | None, headers: dict, timeout: float
+        self, method: str, params: dict | None, body: bytes | None, headers: dict, timeout: float
     ) -> tuple[int, dict[str, str], bytes]:
         """Send one request; return the reply's status, headers and body.
 
-        Only the path and query of ``url`` are used: the request goes to
-        the pool's origin, in one write. Reply header names are
-        lower-cased. A CR, LF or NUL in a header, or a space, control or
-        non-ASCII character in the path or query, raises ``ValueError``
-        before any byte is sent. A failed exchange raises ``OSError``: a
-        malformed or truncated reply raises ``ConnectionError``.
+        The request goes to the pool's URL, with ``params`` URL-encoded
+        after its query, in one write. Reply header names are lower-cased.
+        A CR, LF or NUL in a header raises ``ValueError`` before any byte
+        is sent. A failed exchange raises ``OSError``: a malformed or
+        truncated reply raises ``ConnectionError``.
         """
-        parts = urllib.parse.urlsplit(url)
-        target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        target = self._target
+        if params:
+            target += self._join + urllib.parse.urlencode(params)
         message = self._message(method, target, headers, body)
         with self._lock:
             conn = self._idle.pop() if self._idle else None
@@ -285,11 +315,6 @@ class ConnectionPool:
             _close(conn)
 
     def _message(self, method: str, target: str, headers: dict, body: bytes | None) -> bytes:
-        if _BAD_TARGET_CHAR.search(target):
-            raise ValueError(
-                "a request target may not hold spaces, control or non-ASCII characters: "
-                f"{target.partition('?')[0]!r}"
-            )
         lines = [f"{method} {target} HTTP/1.1\r\n{self._head}"]
         if body is not None:
             lines.append(f"Content-Length: {len(body)}\r\n")
@@ -446,12 +471,15 @@ def _read_chunked(reader: IO[bytes]) -> bytes:
 def check_http_url(url: str, what: str) -> None:
     """Raise ValueError unless ``url`` is an ``http``/``https`` URL the transport can use.
 
-    It needs a host, a port from 0 to 65535 if it names one, and no user
-    name or password.
+    It needs a host, a port from 0 to 65535 if it names one, no user name
+    or password, and no space, control or non-ASCII character in its path
+    or query. Errors call the URL ``what``, and name its path, never its
+    query, which may carry a key.
     """
     parts = urllib.parse.urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
-        got = "" if "@" in url else f", got {url!r}"  # "@" may follow a password
+        # Not echoed if "@" may follow a password; never with its query, which may hold a key.
+        got = "" if "@" in url else f", got {url.partition('?')[0]!r}"
         raise ValueError(f"{what} must be an http:// or https:// URL with a host{got}")
     if "@" in parts.netloc:  # not echoed: it may hold a password
         raise ValueError(f"{what} must not carry a user name or password")
@@ -459,29 +487,30 @@ def check_http_url(url: str, what: str) -> None:
         parts.port
     except ValueError as exc:  # not a number, or out of range
         raise ValueError(f"{what} has a bad port: {exc}") from None
+    if _BAD_TARGET_CHAR.search(parts.path + parts.query):
+        raise ValueError(
+            f"{what} may not hold spaces, control or non-ASCII characters in its path "
+            f"or query: {parts.path!r}"
+        )
 
 
 def request_json(
-    pool: ConnectionPool,
+    client: ServiceClient,
     method: str,
-    url: str,
     *,
     params: dict | None = None,
     json_body: dict | None = None,
     headers: dict | None = None,
-    timeout: float,
-    max_retries: int,
-    backoff_s: float,
-    limiter: RateLimiter | None,
 ) -> tuple[Any, int]:
-    """Issue an HTTP request, retrying transient failures, and decode JSON.
+    """Send one request to ``client``'s URL, retrying transient failures, and decode JSON.
 
-    Retries on connect/read errors, HTTP 429 and 5xx, with exponential
-    backoff (backoff_s * 2**attempt). Other HTTP errors, redirects
-    included, fail immediately as ProtocolError: resending the same
-    request cannot help. The rate limiter, when given, gates every
-    attempt including retries. Warnings and errors name the URL without
-    its query string, which may carry an API key.
+    The timeout, retry and pacing settings are the client's. Retries on
+    connect/read errors, HTTP 429 and 5xx, with exponential backoff
+    (backoff_s * 2**attempt). Other HTTP errors, redirects included,
+    fail immediately as ProtocolError: resending the same request cannot
+    help. The client's rate limiter, if it has one, gates every attempt
+    including retries. Warnings and errors name the URL without its
+    query string, which may carry an API key.
 
     Returns:
         (decoded JSON body, number of retries performed).
@@ -489,24 +518,25 @@ def request_json(
     Raises:
         TransportError: network failure or retryable status after
             ``max_retries`` retries.
-        ProtocolError: non-retryable HTTP status or a non-JSON body.
+        ProtocolError: non-retryable HTTP status, a non-JSON body, or
+            one whose strings hold a lone surrogate.
     """
-    if params:
-        url += ("&" if "?" in url else "?") + urllib.parse.urlencode(params)
-    where = url.partition("?")[0]
+    where = client._url.partition("?")[0]
     headers = {"User-Agent": "geobox", **(headers or {})}
     body = None
     if json_body is not None:
         body = _encode_body(json_body).encode("utf-8")
         headers["Content-Type"] = "application/json"
     last_failure = ""
-    for attempt in range(max_retries + 1):
-        if attempt > 0:
-            time.sleep(backoff_s * (2.0 ** (attempt - 1)))
-        if limiter is not None:
-            limiter.acquire()
+    for attempt in range(client._max_retries + 1):
+        if attempt > 0 and client._backoff_s:  # 2.0 ** 1024 overflows: not computed for 0
+            time.sleep(client._backoff_s * (2.0 ** (attempt - 1)))
+        if client._limiter is not None:
+            client._limiter.acquire()
         try:
-            status, reply_headers, data = pool.request(method, url, body, headers, timeout)
+            status, reply_headers, data = client._pool.request(
+                method, params, body, headers, client.TIMEOUT_S
+            )
         except OSError as exc:
             last_failure = f"{type(exc).__name__}: {exc}"
             logger.warning(
@@ -526,11 +556,13 @@ def request_json(
             text = data.decode("utf-8", "replace")
             raise ProtocolError(f"HTTP {status} from {where}: {text[:200]}")
         try:
-            return json.loads(data), attempt
+            reply = json.loads(data)
+            _refuse_lone_surrogates(reply)  # json.loads lets surrogates through from bytes too
         except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise ProtocolError(f"non-JSON response from {where}: {exc}") from exc
+        return reply, attempt
     raise TransportError(
-        f"{where} still failing after {max_retries} retries (last: {last_failure})"
+        f"{where} still failing after {client._max_retries} retries (last: {last_failure})"
     )
 
 
@@ -541,14 +573,15 @@ def _unchanged(value: Any) -> Any:
 class ServiceClient:
     """Cached, retried, optionally paced JSON-over-HTTP calls to one service.
 
-    Holds the service's ``url``, a connection pool to its origin, the rate
-    limiter (``rate_per_sec=None`` means unpaced), the retry settings,
-    the response cache and ``stats``: a Counter of ``requests``,
+    Binds the service's fixed configuration once: its ``url``, checked
+    by ``check_http_url``, which calls it ``what``; a connection pool to
+    it; the per-attempt ``TIMEOUT_S`` that subclasses set; the retry
+    settings; the rate limiter (``rate_per_sec=None`` means unpaced);
+    the response cache; and ``stats``: a Counter of ``requests``,
     ``retries`` and ``cache_hits``, updated under a lock since pool
-    threads share one client. A negative ``max_retries`` or ``backoff_s``
-    raises ``ValueError``. Subclasses check ``url`` with
-    ``check_http_url``, set ``TIMEOUT_S`` (per attempt) and pass their
-    cache key, request and decoder to ``_fetch``.
+    threads share one client. A negative ``max_retries``, or a
+    ``backoff_s`` that is negative or not finite, raises ``ValueError``.
+    Subclasses pass their cache key, request and decoder to ``_fetch``.
     """
 
     TIMEOUT_S: float
@@ -556,16 +589,18 @@ class ServiceClient:
     def __init__(
         self,
         url: str,
+        what: str,
         *,
         max_retries: int = 3,
         backoff_s: float = 0.5,
         rate_per_sec: float | None = None,
         cache_path: str | os.PathLike | None = None,
     ) -> None:
+        check_http_url(url, what)
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if backoff_s < 0:
-            raise ValueError("backoff_s must be >= 0")
+        if not 0 <= backoff_s < math.inf:  # NaN fails both comparisons
+            raise ValueError("backoff_s must be >= 0 and finite")
         self._max_retries = max_retries
         self._backoff_s = backoff_s
         self._limiter = RateLimiter(rate_per_sec) if rate_per_sec is not None else None
@@ -583,31 +618,24 @@ class ServiceClient:
     def _fetch(
         self,
         key: str,
-        send: Callable[..., tuple[Any, int]],
+        send: Callable[[], tuple[Any, int]],
         *,
         pick: Callable[[Any], Any] = _unchanged,
         decode: Callable[[Any], Any] = _unchanged,
     ) -> Any:
         """Return ``decode(value)`` for the value cached under ``key``.
 
-        On a miss, ``send(pool, timeout=, max_retries=, backoff_s=,
-        limiter=)`` makes the request and returns ``(reply, retries)``
-        like ``request_json``, and ``pick`` selects the value to cache
-        from the reply. Both ``pick`` and ``decode`` run before the
-        value is stored, so a malformed reply never poisons reruns.
+        On a miss, ``send()`` makes the request and returns ``(reply,
+        retries)`` like ``request_json``, and ``pick`` selects the value
+        to cache from the reply. Both ``pick`` and ``decode`` run before
+        the value is stored, so a malformed reply never poisons reruns.
         """
         cached = self._cache.get(key)
         if cached is not None:
             with self._stats_lock:
                 self.stats["cache_hits"] += 1
             return decode(cached)
-        reply, retries = send(
-            self._pool,
-            timeout=self.TIMEOUT_S,
-            max_retries=self._max_retries,
-            backoff_s=self._backoff_s,
-            limiter=self._limiter,
-        )
+        reply, retries = send()
         with self._stats_lock:
             self.stats["requests"] += 1
             self.stats["retries"] += retries

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geo import BoundingBox, GeoInfo, GeoPoint, format_coord
-from .netutil import (
-    EmptyResponseError,
-    ProtocolError,
-    ServiceClient,
-    check_http_url,
-    request_json,
-)
+from .netutil import EmptyResponseError, ProtocolError, ServiceClient, request_json
 from .parsing import _NUM, parse_bbox, parse_point
 from .prompts import NAME_INPUT_KINDS, PromptKind, system_text
 
@@ -273,9 +267,8 @@ class ChatClient(ServiceClient):
         base = base_url if base_url is not None else os.environ.get("LLM_API_BASE")
         if not base:
             raise ValueError("no chat endpoint: pass base_url or set LLM_API_BASE")
-        check_http_url(base, "chat endpoint")
         self._api_key = api_key if api_key is not None else os.environ.get("LLM_API_KEY")
-        super().__init__(base.rstrip("/") + "/chat/completions", **options)
+        super().__init__(base.rstrip("/") + "/chat/completions", "chat endpoint", **options)
 
     def complete(self, request: ChatRequest) -> str:
         """Run one chat call, returning the completion text.
@@ -285,7 +278,7 @@ class ChatClient(ServiceClient):
             ProtocolError: response body not in the expected shape.
             EmptyResponseError: the model returned no content.
         """
-        def send(pool, **transport):
+        def send():
             headers = {}
             if self._api_key:
                 headers["Authorization"] = f"Bearer {self._api_key}"
@@ -298,9 +291,7 @@ class ChatClient(ServiceClient):
                 "temperature": TEMPERATURE,
                 "max_tokens": MAX_TOKENS,
             }
-            return request_json(
-                pool, "POST", self._url, json_body=body, headers=headers, **transport
-            )
+            return request_json(self, "POST", json_body=body, headers=headers)
 
         key = cache_key(request.model, request.system, request.user)
         return self._fetch(key, send, pick=_completion_text)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -169,6 +170,71 @@ def test_negative_retry_settings_exit_1(capsys, tmp_path, dataset_path, chat_stu
     assert not preds.exists()
 
 
+@pytest.mark.parametrize("cache", [False, True], ids=["no-cache-dir", "cache-dir"])
+def test_reply_with_a_lone_surrogate_flags_only_its_record(
+    tmp_path, records, dataset_path, chat_stub, cache
+):
+    chat_stub.script(records[0].description, "(6.0, 46.0, 7.0, 47.0) \ud800")  # first match wins
+    _echo(chat_stub, records)
+    preds = tmp_path / "p.jsonl"
+    extra = ["--cache-dir", str(tmp_path / "cache")] if cache else []
+    assert main(_run_args(dataset_path, chat_stub, preds, "--retries", "0", *extra)) == EXIT_OK
+    flags = {p.record_id: p.flags for p in read_predictions(preds)}
+    assert flags.pop(records[0].record_id) == ("protocol_error",)
+    assert set(flags.values()) == {()}
+    assert len(flags) == len(records) - 1
+
+
+@pytest.mark.parametrize("where", ["dataset", "predictions"])
+def test_lone_surrogate_in_an_input_line(
+    capsys, tmp_path, records, dataset_path, chat_stub, where
+):
+    # A dataset line holding one is skipped; a predictions line is a data error.
+    _echo(chat_stub, records)
+    preds = tmp_path / "p.jsonl"
+    assert main(_run_args(dataset_path, chat_stub, preds)) == EXIT_OK
+    path = pathlib.Path(dataset_path if where == "dataset" else preds)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    key = "description" if where == "dataset" else "raw_text"
+    lines[1] = lines[1].replace(f'"{key}": "', f'"{key}": "\\ud800', 1)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    if where == "dataset":
+        assert main(_run_args(dataset_path, chat_stub, preds)) == EXIT_OK
+        assert len(read_predictions(preds)) == len(records) - 1
+    else:
+        assert main(["eval", "--dataset", dataset_path, "--predictions", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: predictions {path} line 2: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "config-1e400"])
+def test_non_finite_backoff_exits_1(capsys, tmp_path, dataset_path, chat_stub, value):
+    preds = tmp_path / "p.jsonl"
+    if value.startswith("config-"):
+        config = tmp_path / "run.json"
+        config.write_text('{"backoff": 1e400}')  # decodes to inf
+        extra = ["--config", str(config)]
+    else:
+        extra = ["--backoff", value]
+    assert main(_run_args(dataset_path, chat_stub, preds, *extra)) == EXIT_USAGE
+    assert "must be >= 0" in capsys.readouterr().err
+    assert chat_stub.core.request_count == 0
+    assert not preds.exists()
+
+
+def test_many_retries_without_backoff_exit_3(capsys, tmp_path, dataset_path):
+    # Every attempt is refused at once; no backoff of 2 ** 1024 is computed for them.
+    preds = tmp_path / "p.jsonl"
+    argv = [
+        "run", "--approach", "direct", "--model", "m", "--dataset", dataset_path,
+        "--llm-base", "http://127.0.0.1:9/v1", "--predictions", str(preds),
+        "--retries", "1100", "--backoff", "0", "--limit", "1",
+    ]  # fmt: skip
+    assert main(argv) == EXIT_TRANSPORT
+    assert "every record failed to reach the endpoint" in capsys.readouterr().err
+    assert read_predictions(preds)[0].flags == ("transport_error",)
+
+
 @pytest.mark.parametrize(
     ("flag", "case"),
     [
@@ -178,6 +244,9 @@ def test_negative_retry_settings_exit_1(capsys, tmp_path, dataset_path, chat_stu
         ("--llm-base", "bad-port"),
         ("--llm-base", "no-scheme-password"),
         ("--llm-base", "ftp-password"),
+        ("--llm-base", "space"),
+        ("--geocoder-endpoint", "space"),
+        ("--geocoder-endpoint", "no-scheme-key"),
     ],
     ids=[
         "--llm-base",
@@ -186,11 +255,23 @@ def test_negative_retry_settings_exit_1(capsys, tmp_path, dataset_path, chat_stu
         "--llm-base-with-bad-port",
         "--llm-base-no-scheme-with-password",
         "--llm-base-ftp-with-password",
+        "--llm-base-with-space",
+        "--geocoder-endpoint-with-space",
+        "--geocoder-endpoint-no-scheme-with-key",
     ],
 )
 def test_url_without_scheme_exits_1(capsys, tmp_path, dataset_path, chat_stub, flag, case):
     preds = tmp_path / "p.jsonl"
-    if case == "password":
+    # The chat client checks the URL it posts to: the base plus its path.
+    suffix = "/chat/completions" if flag == "--llm-base" else ""
+    if case == "space":  # refused when the client is built; the query is not echoed
+        what = "chat endpoint" if flag == "--llm-base" else "geocoder endpoint"
+        bad = chat_stub.base_url + "/a b?key=secret"
+        message = f"error: {what} may not hold spaces, control or non-ASCII characters in its path"
+    elif case == "no-scheme-key":  # echoed without its query
+        bad = chat_stub.base_url.removeprefix("http://") + "/geocode?key=secret"
+        message = f"got {bad.partition('?')[0]!r}\n"
+    elif case == "password":
         bad = chat_stub.base_url.replace("http://", "http://user:secret@")
         message = "chat endpoint must not carry a user name or password"
     elif case == "bad-port":
@@ -202,7 +283,7 @@ def test_url_without_scheme_exits_1(capsys, tmp_path, dataset_path, chat_stub, f
         message = "chat endpoint must be an http:// or https:// URL with a host\n"
     else:
         bad = chat_stub.base_url.removeprefix("http://")
-        message = f"must be an http:// or https:// URL with a host, got {bad!r}"
+        message = f"must be an http:// or https:// URL with a host, got {bad + suffix!r}"
     assert main(_run_args(dataset_path, chat_stub, preds, flag, bad)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert message in err

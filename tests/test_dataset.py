@@ -137,15 +137,52 @@ def test_load_skips_bad_lines_and_reports_them(tmp_path):
     assert "duplicate id" in report.skipped[-1][1]
 
 
-@pytest.mark.parametrize("mentions", [["Lausanne"], "Lausanne"], ids=["list-of-str", "str"])
-def test_load_skips_a_line_whose_mentions_are_not_objects(tmp_path, mentions):
+@pytest.mark.parametrize(
+    ("mentions", "reason"),
+    [
+        (["Lausanne"], "expected a mention object, got str"),
+        ("Lausanne", "mentions must be a list, got str"),
+    ],
+    ids=["list-of-str", "str"],
+)
+def test_load_skips_a_line_whose_mentions_are_not_objects(tmp_path, mentions, reason):
     path = tmp_path / "data.jsonl"
     good = record_to_obj(make_fixture_records()[0])
     bad = {"id": "bad", "description": "Lausanne", "gold_bbox": [0, 0, 1, 1], "mentions": mentions}
     path.write_text(f"{json.dumps(bad)}\n{json.dumps(good)}\n", encoding="utf-8")
     records, report = load_dataset(path)
     assert [r.record_id for r in records] == ["r01"]
-    assert report.skipped == [(1, "expected a mention object, got str")]
+    assert report.skipped == [(1, reason)]
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "kind"),
+    [
+        ("mentions", "", "str"),
+        ("mentions", {}, "dict"),
+        ("recalled", {}, "dict"),
+        ("point", "12", "str"),
+    ],
+    ids=["mentions-str", "mentions-object", "recalled-object", "point-str"],
+)
+def test_array_field_of_a_string_or_object_is_refused(field, value, kind):
+    # Iterated, a string gives its characters and an object its keys.
+    if field == "mentions":
+        obj, from_obj = record_to_obj(make_fixture_records()[0]), record_from_obj
+    else:
+        obj, from_obj = prediction_to_obj(_predictions()[0]), prediction_from_obj
+    with pytest.raises(TypeError, match=f"^{field} must be a list, got {kind}$"):
+        from_obj({**obj, field: value})
+
+
+def test_load_skips_a_line_with_a_lone_surrogate(tmp_path):
+    path = tmp_path / "data.jsonl"
+    good = record_to_obj(make_fixture_records()[0])
+    bad = {**good, "id": "bad", "description": "\ud800 " + good["description"]}
+    path.write_text(f"{json.dumps(bad)}\n{json.dumps(good)}\n", encoding="utf-8")
+    records, report = load_dataset(path)
+    assert [r.record_id for r in records] == ["r01"]
+    assert [line_no for line_no, _ in report.skipped] == [1]
 
 
 def test_load_rejects_unusable_dataset(tmp_path):
@@ -355,6 +392,15 @@ def test_read_predictions_refuses_flags_that_are_not_a_list(tmp_path, flags, kin
     with pytest.raises(DataError) as refused:
         read_predictions(path)
     assert str(refused.value) == f"predictions {path} line 2: flags must be a list, got {kind}"
+
+
+def test_read_predictions_refuses_a_lone_surrogate(tmp_path):
+    good = prediction_to_obj(_predictions()[0])
+    path = tmp_path / "preds.jsonl"
+    lines = [json.dumps(good), json.dumps({**good, "raw_text": "\ud800"})]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 2: 'utf-8' codec can't encode"):
+        read_predictions(path)
 
 
 @pytest.mark.parametrize(

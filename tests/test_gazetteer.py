@@ -117,6 +117,19 @@ def test_store_load_skips_bad_lines(tmp_path, caplog):
     assert sum("skipped" in r.message for r in caplog.records) >= 4
 
 
+def test_store_load_skips_a_line_with_a_lone_surrogate(tmp_path, caplog):
+    path = tmp_path / "gaz.jsonl"
+    path.write_text(
+        '{"name": "Bad\\ud800", "lat": 1.0, "lon": 2.0}\n'
+        '{"name": "Good\\ud83d\\ude00", "lat": 1.0, "lon": 2.0}\n',
+        encoding="utf-8",
+    )
+    with caplog.at_level(logging.WARNING):
+        store = GazetteerStore.load(path)
+    assert [info.name for info in store] == ["Good\U0001f600"]
+    assert "line 1 skipped: 'utf-8' codec can't encode" in caplog.text
+
+
 # --- remote geocoder -----------------------------------------------------------
 
 

@@ -71,6 +71,21 @@ def test_undecodable_line_is_skipped(tmp_path, caplog, line):
     assert JsonlCache(path).get("d") == 4
 
 
+def test_cache_line_with_a_lone_surrogate_is_skipped(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"key": "a", "value": "\\ud800"}\n{"key": "b", "value": "\\ud83d\\ude00"}\n')
+    cache = JsonlCache(path)
+    assert (cache.get("a"), cache.get("b")) == (None, "\U0001f600")  # a pair is one character
+    assert "skipping corrupt cache line 1" in caplog.text
+
+
+def test_memory_only_cache_encodes_no_line():
+    value = object()  # not JSON: encoding a line for it would raise TypeError
+    cache = JsonlCache()
+    cache.put("k", value)
+    assert cache.get("k") is value
+
+
 _json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -151,7 +166,7 @@ def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
 @pytest.mark.parametrize("setting", [{"max_retries": -1}, {"backoff_s": -0.5}])
 def test_negative_retry_settings_are_rejected(setting):
     with pytest.raises(ValueError):
-        ServiceClient("http://127.0.0.1:9", **setting)
+        ServiceClient("http://127.0.0.1:9", "test endpoint", **setting)
 
 
 def test_gets_during_concurrent_puts_lose_no_key(tmp_path):

@@ -20,13 +20,24 @@ import geobox
 from fixtures import echo_gold_script
 from geobox.dataset import write_dataset
 from geobox.gazetteer import GeocoderClient
-from geobox.netutil import ConnectionPool, ProtocolError, TransportError, request_json
+from geobox.netutil import (
+    ConnectionPool,
+    ProtocolError,
+    ServiceClient,
+    TransportError,
+    request_json,
+)
 from geobox.reasoner import ChatClient, ChatRequest
 from stubs import ChatStub
 
 
-# request_json settings other than max_retries: no backoff, no pacing.
-_UNPACED = {"timeout": 5.0, "backoff_s": 0.0, "limiter": None}
+class _Client(ServiceClient):
+    """A service client with a 5 s timeout, no backoff and no pacing."""
+
+    TIMEOUT_S = 5.0
+
+    def __init__(self, url: str, max_retries: int) -> None:
+        super().__init__(url, "test endpoint", max_retries=max_retries, backoff_s=0.0)
 
 
 def _reply(status: str, body: bytes, *headers: str) -> bytes:
@@ -170,19 +181,19 @@ def test_https_connections_verify_certificates(monkeypatch):
 
 def test_redirect_is_not_followed(raw_server):
     server = raw_server(_reply("302 Found", b"", "Location: /elsewhere"))
-    pool = ConnectionPool(server.url)
+    client = _Client(server.url + "/geocode", max_retries=2)
     with pytest.raises(ProtocolError, match="HTTP 302 .*'/elsewhere' not followed"):
-        request_json(pool, "GET", server.url + "/geocode", max_retries=2, **_UNPACED)
-    pool.close()
+        request_json(client, "GET")
+    client.close()
     assert server.requests == ["GET /geocode HTTP/1.1"]
 
 
 def test_unreachable_endpoint_names_the_os_error():
     with socket.create_server(("127.0.0.1", 0)) as sock:
         port = sock.getsockname()[1]  # nothing listens here once closed
-    url = f"http://127.0.0.1:{port}/x"
+    client = _Client(f"http://127.0.0.1:{port}/x", max_retries=0)
     with pytest.raises(TransportError, match="ConnectionRefusedError"):
-        request_json(ConnectionPool(url), "GET", url, max_retries=0, **_UNPACED)
+        request_json(client, "GET")
 
 
 _JSON_BODY = b'{"a": 1}'
@@ -225,18 +236,34 @@ def test_reply_framing_and_connection_reuse(
     raw_server, reply, half_close, status, body, connections
 ):
     server = raw_server(reply, keep_alive=True, half_close=half_close)
-    pool = ConnectionPool(server.url)
+    pool = ConnectionPool(server.url + "/x")
     for _ in range(2):
-        assert pool.request("GET", server.url + "/x", None, {}, 5.0)[::2] == (status, body)
+        assert pool.request("GET", None, None, {}, 5.0)[::2] == (status, body)
     pool.close()
     assert server.requests == ["GET /x HTTP/1.1"] * 2  # none sent on a connection that ended
     assert server.connections == connections
 
 
+@pytest.mark.parametrize(
+    ("path", "target"),
+    [
+        ("/geocode", "/geocode?address=S%C3%A3o+Paulo"),
+        ("/geocode?region=br", "/geocode?region=br&address=S%C3%A3o+Paulo"),
+    ],
+    ids=["no-query", "query"],
+)
+def test_params_follow_the_urls_query(raw_server, path, target):
+    server = raw_server(_reply("200 OK", _JSON_BODY))
+    pool = ConnectionPool(server.url + path)
+    pool.request("GET", {"address": "São Paulo"}, None, {}, 5.0)
+    pool.close()
+    assert server.requests == [f"GET {target} HTTP/1.1"]
+
+
 def test_reply_header_names_are_lower_cased(raw_server):
     server = raw_server(_reply("200 OK", _JSON_BODY, "X-Request-ID: abc", "Content-Type: a/b"))
-    pool = ConnectionPool(server.url)
-    status, headers, body = pool.request("GET", server.url + "/x", None, {}, 5.0)
+    pool = ConnectionPool(server.url + "/x")
+    status, headers, body = pool.request("GET", None, None, {}, 5.0)
     pool.close()
     assert headers == {"content-length": "8", "x-request-id": "abc", "content-type": "a/b"}
 
@@ -257,14 +284,13 @@ def _fields(n: int) -> list[str]:
 )
 def test_reply_limits_match_http_client(raw_server, reply, ok):
     server = raw_server(reply)
-    pool = ConnectionPool(server.url)
-    url = server.url + "/x"
+    client = _Client(server.url + "/x", max_retries=0)
     if ok:
-        assert request_json(pool, "GET", url, max_retries=0, **_UNPACED) == ({"a": 1}, 0)
+        assert request_json(client, "GET") == ({"a": 1}, 0)
     else:
         with pytest.raises(TransportError, match="ConnectionError: reply (line longer|has more)"):
-            request_json(pool, "GET", url, max_retries=0, **_UNPACED)
-    pool.close()
+            request_json(client, "GET")
+    client.close()
 
 
 @pytest.mark.parametrize(
@@ -292,10 +318,10 @@ def test_reply_limits_match_http_client(raw_server, reply, ok):
 )
 def test_broken_reply_is_retried_then_fails(raw_server, reply):
     server = raw_server(reply)
-    pool = ConnectionPool(server.url)
+    client = _Client(server.url + "/x", max_retries=1)
     with pytest.raises(TransportError, match="still failing after 1 retries .*ConnectionError"):
-        request_json(pool, "GET", server.url + "/x", max_retries=1, **_UNPACED)
-    pool.close()
+        request_json(client, "GET")
+    client.close()
     assert server.requests == ["GET /x HTTP/1.1"] * 2
 
 
@@ -318,9 +344,9 @@ def test_line_break_in_api_key_is_refused_before_sending(raw_server, monkeypatch
 )
 def test_bad_header_is_refused_before_sending(raw_server, headers):
     server = raw_server(_reply("200 OK", _JSON_BODY))
-    pool = ConnectionPool(server.url)
+    pool = ConnectionPool(server.url + "/x")
     with pytest.raises(ValueError, match="holds a CR, LF or NUL"):
-        pool.request("GET", server.url + "/x", None, headers, 5.0)
+        pool.request("GET", None, None, headers, 5.0)
     assert server.connections == 0
 
 
@@ -328,12 +354,25 @@ def test_bad_header_is_refused_before_sending(raw_server, headers):
     "path", ["/a b", "/a\x1fb", "/a\x7fb", "/café"], ids=["space", "control", "del", "non-ascii"]
 )
 def test_bad_request_target_is_refused_before_sending(raw_server, path):
+    # Refused when the client is built, so no request can carry it.
     server = raw_server(_reply("200 OK", _JSON_BODY))
-    pool = ConnectionPool(server.url)
-    with pytest.raises(ValueError, match="request target may not hold") as caught:
-        request_json(pool, "GET", server.url + path + "?key=sekrit", max_retries=0, **_UNPACED)
+    with pytest.raises(ValueError, match="test endpoint may not hold spaces") as caught:
+        _Client(server.url + path + "?key=sekrit", max_retries=0)
     assert "sekrit" not in str(caught.value)
     assert server.connections == 0
+
+
+@pytest.mark.parametrize("content", [b"\\ud800", b"\xed\xa0\x80"], ids=["escape", "raw-bytes"])
+@pytest.mark.parametrize("cached", [False, True], ids=["memory-cache", "file-cache"])
+def test_lone_surrogate_in_a_reply_is_a_protocol_error(raw_server, tmp_path, content, cached):
+    body = b'{"choices": [{"message": {"content": "a' + content + b'"}}]}'
+    server = raw_server(_reply("200 OK", body))
+    cache = tmp_path / "llm_cache.jsonl"
+    client = ChatClient(base_url=server.url, max_retries=0, cache_path=cache if cached else None)
+    with pytest.raises(ProtocolError, match="surrogates not allowed"):
+        client.complete(ChatRequest(model="m", system="s", user="u"))
+    client.close()
+    assert not cache.exists()
 
 
 @pytest.mark.parametrize(
@@ -362,7 +401,7 @@ def test_request_bytes_match_http_client(raw_server, monkeypatch, url, method):
         headers["Content-Type"] = "application/json"
 
     pool = ConnectionPool(url)
-    pool.request(method, url, body, headers, 5.0)
+    pool.request(method, None, body, headers, 5.0)
     pool.close()
     parts = urllib.parse.urlsplit(url)
     https = parts.scheme == "https"
@@ -435,15 +474,15 @@ def fuzz_server():
 
 def _answer_within_timeout(server: RawServer, reply: bytes) -> None:
     server.reply = reply
-    pool = ConnectionPool(server.url)
+    client = _Client(server.url + "/x", max_retries=0)
     start = time.monotonic()
     try:
-        request_json(pool, "GET", server.url + "/x", max_retries=0, **_UNPACED)
+        request_json(client, "GET")
     except (TransportError, ProtocolError):
         pass
     finally:
-        pool.close()
-    assert time.monotonic() - start < _UNPACED["timeout"]
+        client.close()
+    assert time.monotonic() - start < _Client.TIMEOUT_S
 
 
 @settings(max_examples=150, deadline=None)
