@@ -136,35 +136,48 @@ def _config_value_error(action: argparse.Action, value) -> str | None:
     return None
 
 
+# Options geobox sends, hashes or prints. Python decodes argv bytes that are not
+# UTF-8 to lone surrogates, which none of those can encode; a path option is left
+# to the OS, which takes such bytes back as they were.
+_TEXT_OPTIONS = ("model", "recaller_model", "label")
+
+
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     """Parse ``argv``, with the ``--config`` file's values as flag defaults.
 
     Explicit flags win over the config, which wins over built-in
     defaults. A config key naming a flag of the subcommand must hold a
     value that flag could give; other keys are ignored, so one file can
-    serve several subcommands.
+    serve several subcommands. A ``_TEXT_OPTIONS`` value must encode as
+    UTF-8.
     """
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    if not args.config:
-        return args
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = decode_json_line(fh.read())
-    except (OSError, *BAD_ROW) as exc:
-        raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise UsageError(f"config {args.config} must hold a JSON object")
-    command = commands[args.command]
-    presets = {}
-    for action in command._actions:
-        if action.dest in loaded and action.dest not in ("help", "config"):
-            problem = _config_value_error(action, loaded[action.dest])
-            if problem is not None:
-                raise UsageError(f"config {args.config}: {action.dest} {problem}")
-            presets[action.dest] = loaded[action.dest]
-    command.set_defaults(**presets)
-    return parser.parse_args(argv)
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                loaded = decode_json_line(fh.read())
+        except (OSError, *BAD_ROW) as exc:
+            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config {args.config} must hold a JSON object")
+        command = commands[args.command]
+        presets = {}
+        for action in command._actions:
+            if action.dest in loaded and action.dest not in ("help", "config"):
+                problem = _config_value_error(action, loaded[action.dest])
+                if problem is not None:
+                    raise UsageError(f"config {args.config}: {action.dest} {problem}")
+                presets[action.dest] = loaded[action.dest]
+        command.set_defaults(**presets)
+        args = parser.parse_args(argv)
+    for name in _TEXT_OPTIONS:
+        value = getattr(args, name, None) or ""
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise UsageError(f"--{name.replace('_', '-')} is not UTF-8 text: {value!r}") from None
+    return args
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:

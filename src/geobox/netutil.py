@@ -102,48 +102,50 @@ def gc_paused() -> Iterator[None]:
 BAD_ROW = (ValueError, KeyError, TypeError, OverflowError)
 
 
+# `"\\" in line` is answered by memchr for most lines; this pattern then finds
+# "\\u" faster than `in` does.
+_U_ESCAPE = re.compile(r"\\u")
+
+
 def decode_json_line(line: str) -> Any:
     """``json.loads(line)``, with the same value and the same errors, but cheaper.
 
     ``raw_decode`` skips ``json.loads``'s per-call checks. Anything it
     cannot take whole (an error, trailing characters, a BOM, leading
     whitespace) goes through ``json.loads``, so errors keep its messages.
-    One error differs: nesting too deep for the decoder is a
-    ``ValueError`` here, where ``json.loads`` raises ``RecursionError``.
+    Two errors differ: nesting too deep for the decoder is a
+    ``ValueError`` here, where ``json.loads`` raises ``RecursionError``;
+    and a value holding a lone surrogate raises ``UnicodeEncodeError``, a
+    ``ValueError``, since UTF-8 cannot encode it, so it could be neither
+    cached nor written. Only a line holding ``\\u`` is checked: text
+    decoded strictly from UTF-8, as every reader here does, can hold a
+    lone surrogate no other way.
     """
     try:
         try:
-            obj, end = _raw_decode(line)
+            value, end = _raw_decode(line)
         except ValueError:
             end = -1
-        if end == len(line):
-            return obj
-        return json.loads(line)
+        if end != len(line):
+            value = json.loads(line)
     except RecursionError as exc:
         raise ValueError(f"JSON nested too deep: {exc}") from None
-
-
-# Text decoded from UTF-8 holds a lone surrogate only through a \u escape, so the
-# readers check only a line holding one: first `"\\" in line`, which memchr answers
-# for most lines, then this pattern, which finds "\u" faster than `in` does.
-_U_ESCAPE = re.compile(r"\\u")
+    if "\\" in line and _U_ESCAPE.search(line):
+        _refuse_lone_surrogates(value)
+    return value
 
 
 def _refuse_lone_surrogates(value: Any) -> None:
-    """Raise ``UnicodeEncodeError``, a ``ValueError``, if ``value`` holds a lone surrogate.
-
-    UTF-8 cannot encode one, so such a value could be neither cached nor
-    written.
-    """
+    """Raise ``UnicodeEncodeError`` if ``value`` holds a lone surrogate."""
     _encode_line(value).encode("utf-8")
 
 
 def read_jsonl(path: str | os.PathLike, build: Callable, bad: Callable) -> list:
     """``build(value)`` for each non-blank line of a UTF-8 JSONL file, in order, GC paused.
 
-    A line (numbered from 1) whose decoding or ``build`` raises a
-    ``BAD_ROW``, or whose value holds a lone surrogate, goes to
-    ``bad(line number, error)`` instead; it may raise.
+    A line (numbered from 1) whose ``decode_json_line`` or ``build``
+    raises a ``BAD_ROW`` goes to ``bad(line number, error)`` instead; it
+    may raise.
     """
     rows: list = []
     with open(path, "r", encoding="utf-8") as fh, gc_paused():
@@ -151,10 +153,7 @@ def read_jsonl(path: str | os.PathLike, build: Callable, bad: Callable) -> list:
             line = line.strip()
             if line:
                 try:
-                    value = decode_json_line(line)
-                    if "\\" in line and _U_ESCAPE.search(line):
-                        _refuse_lone_surrogates(value)
-                    rows.append(build(value))
+                    rows.append(build(decode_json_line(line)))
                 except BAD_ROW as exc:
                     bad(line_no, exc)
     return rows
@@ -172,7 +171,9 @@ class JsonlCache:
     Writes go to disk before the value is returned to the caller, so a
     crash after a successful remote call never loses the response. The
     file is opened for appending on the first ``put`` and held until
-    ``close``; a later ``put`` opens it again. Thread-safe.
+    ``close``; a later ``put`` opens it again. Opening a new or empty file
+    fsyncs its directory too, so the file's name is as durable as its
+    lines. Thread-safe.
     """
 
     def __init__(self, path: str | os.PathLike | None = None) -> None:
@@ -196,10 +197,7 @@ class JsonlCache:
                 if not line:
                     continue
                 try:
-                    text = line.decode("utf-8")  # per line: a torn one is skipped
-                    obj = decode_json_line(text)
-                    if "\\" in text and _U_ESCAPE.search(text):
-                        _refuse_lone_surrogates(obj)
+                    obj = decode_json_line(line.decode("utf-8"))  # per line: a torn one is skipped
                     # Last write wins, matching append order.
                     self._data[obj["key"]] = obj["value"]
                 except BAD_ROW:
@@ -227,8 +225,16 @@ class JsonlCache:
         """Write ``line`` whole and fsync it; on failure, leave the tail marked torn."""
         assert self._path is not None
         if self._file is None:
-            os.makedirs(os.path.dirname(os.path.abspath(self._path)), exist_ok=True)
-            self._file = open(self._path, "ab", buffering=0)
+            directory = os.path.dirname(os.path.abspath(self._path))
+            os.makedirs(directory, exist_ok=True)
+            file = open(self._path, "ab", buffering=0)
+            try:
+                if os.fstat(file.fileno()).st_size == 0:  # new (or empty): make its name durable
+                    _fsync_dir(directory)
+            except BaseException:
+                file.close()
+                raise
+            self._file = file
         if self._torn_tail:
             line = b"\n" + line
         self._torn_tail = True  # until the whole line is durable
@@ -518,8 +524,9 @@ def request_json(
     Raises:
         TransportError: network failure or retryable status after
             ``max_retries`` retries.
-        ProtocolError: non-retryable HTTP status, a non-JSON body, or
-            one whose strings hold a lone surrogate.
+        ProtocolError: non-retryable HTTP status, or a body that is not
+            UTF-8 JSON (a BOM allowed) or whose strings hold a lone
+            surrogate.
     """
     where = client._url.partition("?")[0]
     headers = {"User-Agent": "geobox", **(headers or {})}
@@ -556,9 +563,8 @@ def request_json(
             text = data.decode("utf-8", "replace")
             raise ProtocolError(f"HTTP {status} from {where}: {text[:200]}")
         try:
-            reply = json.loads(data)
-            _refuse_lone_surrogates(reply)  # json.loads lets surrogates through from bytes too
-        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+            reply = decode_json_line(data.decode("utf-8-sig"))  # RFC 8259 8.1: UTF-8 only
+        except ValueError as exc:
             raise ProtocolError(f"non-JSON response from {where}: {exc}") from exc
         return reply, attempt
     raise TransportError(
@@ -645,13 +651,24 @@ class ServiceClient:
         return result
 
 
+def _fsync_dir(directory: str) -> None:
+    """fsync ``directory``, so a file created or renamed in it keeps its name after a crash."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 @contextlib.contextmanager
 def _atomic_file(path: str | os.PathLike) -> Iterator[IO[str]]:
     """Open a UTF-8 temp sibling of ``path``; on clean exit, fsync it and rename it over ``path``.
 
     Each call writes its own uniquely named temp file, so concurrent
     writers of one path never share one; the temp file is removed if the
-    write fails, and the old file is left as it was.
+    write fails, and the old file is left as it was. After the rename the
+    directory is fsynced too. A killed writer's temp file stays: no later
+    write sweeps ``<path>.tmp.*``, since one may belong to a live writer.
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
@@ -668,6 +685,7 @@ def _atomic_file(path: str | os.PathLike) -> Iterator[IO[str]]:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+    _fsync_dir(directory)  # the rename itself survives a crash only once this returns
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:

@@ -80,7 +80,10 @@ class _StubCore:
         gc.collect()
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), handler_cls)
         self._server.stub = self  # type: ignore[attr-defined]
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # A short poll, so shutdown() in each teardown does not wait out the default 0.5 s.
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self._thread.start()
         host, port = self._server.server_address
         return f"http://{host}:{port}"

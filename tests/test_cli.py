@@ -207,6 +207,35 @@ def test_lone_surrogate_in_an_input_line(
         assert capsys.readouterr().err.startswith(f"data error: predictions {path} line 2: ")
 
 
+def test_config_with_a_lone_surrogate_exits_1(capsys, tmp_path, dataset_path, chat_stub):
+    config = tmp_path / "run.json"
+    config.write_text('{"model": "m\\ud800"}')
+    preds = tmp_path / "p.jsonl"
+    args = _run_args(dataset_path, chat_stub, preds)
+    del args[3:5]  # --model comes from the config
+    assert main([*args, "--config", str(config)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {config}: ")
+    assert chat_stub.core.request_count == 0
+    assert not preds.exists()
+
+
+@pytest.mark.parametrize("flag", ["--model", "--recaller-model"])
+def test_non_utf8_text_option_exits_1(capsys, tmp_path, dataset_path, chat_stub, flag):
+    # Python decodes the argv byte 0xff to the lone surrogate "\udcff".
+    preds = tmp_path / "p.jsonl"
+    assert main(_run_args(dataset_path, chat_stub, preds, flag, "m\udcff")) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {flag} is not UTF-8 text: 'm\\udcff'\n"
+    assert chat_stub.core.request_count == 0
+    assert not preds.exists()
+
+
+def test_non_utf8_label_exits_1_before_any_file_is_read(capsys, tmp_path):
+    missing = str(tmp_path / "absent.jsonl")  # reading it would exit 2
+    args = ["eval", "--predictions", missing, "--dataset", missing, "--label", "l\udcff"]
+    assert main(args) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --label is not UTF-8 text: 'l\\udcff'\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "config-1e400"])
 def test_non_finite_backoff_exits_1(capsys, tmp_path, dataset_path, chat_stub, value):
     preds = tmp_path / "p.jsonl"
@@ -686,6 +715,15 @@ def test_report_bad_input_exits_2(capsys, tmp_path):
         capsys.readouterr()
         assert main(["report", str(bad)]) == EXIT_DATA, text
         assert capsys.readouterr().err.startswith(f"data error: cannot read metrics report {bad}: ")
+
+
+def test_report_with_a_lone_surrogate_exits_2(capsys, tmp_path):
+    stored = tmp_path / "r.json"
+    stored.write_text(json.dumps({**_STORED_REPORT, "label": "direct/m\ud800"}))
+    assert main(["report", str(stored)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read metrics report {stored}: ")
+    assert "surrogates not allowed" in err
 
 
 _DEEP = "[" * 100_000 + "]" * 100_000

