@@ -248,8 +248,6 @@ def format_coord(value: float) -> str:
     text = repr(float(value))
     if "e" in text or "E" in text:
         text = f"{value:.9f}"
-    if "." not in text:
-        text += "."
     whole, frac = text.split(".", 1)
     if len(frac) < 3:
         frac = frac.ljust(3, "0")

@@ -263,11 +263,13 @@ class ConnectionPool:
     failed attempt. HTTPS verifies certificates and host names with
     ``ssl.create_default_context()``. Redirects are returned, not followed.
     Every request goes to the path and query of ``url``, which
-    ``check_http_url`` has passed. A port that is not a number from 0 to
-    65535 raises ``ValueError``.
+    ``check_http_url`` has passed, with ``User-Agent: geobox`` and
+    ``headers``, rendered once here, and each new socket gets ``timeout``.
+    A port that is not a number from 0 to 65535, or a CR, LF or NUL in a
+    header, raises ``ValueError``; it names the header, not its value.
     """
 
-    def __init__(self, url: str) -> None:
+    def __init__(self, url: str, headers: dict[str, str], timeout: float) -> None:
         parts = urllib.parse.urlsplit(url)
         self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
         self._join = "&" if parts.query else "?"  # before a request's own parameters
@@ -284,34 +286,47 @@ class ConnectionPool:
         host_header = f"[{host}]" if ":" in host else host
         if port != default_port:
             host_header += f":{port}"
-        self._head = f"Host: {host_header}\r\nAccept-Encoding: identity\r\n"
+        self._head = f"Host: {host_header}\r\nAccept-Encoding: identity\r\n".encode("ascii")
+        fields = []
+        for name, value in {"User-Agent": "geobox", **headers}.items():
+            field = f"{name}: {value}"
+            if _BAD_HEADER_CHAR.search(field):
+                raise ValueError(f"header {name!r} holds a CR, LF or NUL character")
+            fields.append(field + "\r\n")
+        self._fields = "".join(fields).encode("latin-1")
+        self._timeout = timeout
         self._lock = threading.Lock()
         self._idle: list[tuple[socket.socket, IO[bytes]]] = []
         self._tls: ssl.SSLContext | None = None
 
     def request(
-        self, method: str, params: dict | None, body: bytes | None, headers: dict, timeout: float
+        self, method: str, params: dict | None, body: bytes | None
     ) -> tuple[int, dict[str, str], bytes]:
         """Send one request; return the reply's status, headers and body.
 
         The request goes to the pool's URL, with ``params`` URL-encoded
-        after its query, in one write. Reply header names are lower-cased.
-        A CR, LF or NUL in a header raises ``ValueError`` before any byte
-        is sent. A failed exchange raises ``OSError``: a malformed or
-        truncated reply raises ``ConnectionError``.
+        after its query, in one write; a ``body`` is sent as JSON. Reply
+        header names are lower-cased. A failed exchange raises
+        ``OSError``: a malformed or truncated reply raises
+        ``ConnectionError``.
         """
         target = self._target
         if params:
             target += self._join + urllib.parse.urlencode(params)
-        message = self._message(method, target, headers, body)
+        line = f"{method} {target} HTTP/1.1\r\n".encode("latin-1")
+        if body is None:
+            message = b"".join((line, self._head, self._fields, b"\r\n"))
+        else:
+            length = b"Content-Length: %d\r\n" % len(body)
+            message = b"".join((line, self._head, length, self._fields, _JSON_TYPE, body))
         with self._lock:
             conn = self._idle.pop() if self._idle else None
         if conn is not None:
             try:
-                return self._exchange(conn, message, timeout)
+                return self._exchange(conn, message)
             except (ConnectionResetError, BrokenPipeError):
                 pass  # closed by the server while idle: reopen below
-        return self._exchange(self._open(timeout), message, timeout)
+        return self._exchange(self._open(), message)
 
     def close(self) -> None:
         """Close the idle connections. The pool stays usable."""
@@ -320,23 +335,10 @@ class ConnectionPool:
         for conn in idle:
             _close(conn)
 
-    def _message(self, method: str, target: str, headers: dict, body: bytes | None) -> bytes:
-        lines = [f"{method} {target} HTTP/1.1\r\n{self._head}"]
-        if body is not None:
-            lines.append(f"Content-Length: {len(body)}\r\n")
-        for name, value in headers.items():
-            line = f"{name}: {value}\r\n"
-            if _BAD_HEADER_CHAR.search(line, 0, len(line) - 2):
-                raise ValueError(f"header {name!r} holds a CR, LF or NUL character")
-            lines.append(line)
-        lines.append("\r\n")
-        head = "".join(lines).encode("latin-1")
-        return head + body if body else head
-
-    def _open(self, timeout: float) -> tuple[socket.socket, IO[bytes]]:
+    def _open(self) -> tuple[socket.socket, IO[bytes]]:
         import socket
 
-        sock = socket.create_connection(self._address, timeout)
+        sock = socket.create_connection(self._address, self._timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if self._https:
@@ -351,11 +353,10 @@ class ConnectionPool:
         return sock, sock.makefile("rb")
 
     def _exchange(
-        self, conn: tuple[socket.socket, IO[bytes]], message: bytes, timeout: float
+        self, conn: tuple[socket.socket, IO[bytes]], message: bytes
     ) -> tuple[int, dict[str, str], bytes]:
         sock, reader = conn
         try:
-            sock.settimeout(timeout)
             sock.sendall(message)
             status, headers, body, keep = _read_reply(reader)
         except BaseException:
@@ -378,6 +379,8 @@ _MAX_HEADERS = 100
 _READ_PIECE = 1 << 20
 _BAD_TARGET_CHAR = re.compile(r"[^\x21-\x7e]")
 _BAD_HEADER_CHAR = re.compile(r"[\r\n\0]")
+# The last field of a request with a body, then the blank line that ends its head.
+_JSON_TYPE = b"Content-Type: application/json\r\n\r\n"
 _HEX = re.compile(rb"[0-9A-Fa-f]+")
 _LINE_ENDS = (b"\r\n", b"\n")
 
@@ -506,17 +509,16 @@ def request_json(
     *,
     params: dict | None = None,
     json_body: dict | None = None,
-    headers: dict | None = None,
 ) -> tuple[Any, int]:
     """Send one request to ``client``'s URL, retrying transient failures, and decode JSON.
 
-    The timeout, retry and pacing settings are the client's. Retries on
-    connect/read errors, HTTP 429 and 5xx, with exponential backoff
-    (backoff_s * 2**attempt). Other HTTP errors, redirects included,
-    fail immediately as ProtocolError: resending the same request cannot
-    help. The client's rate limiter, if it has one, gates every attempt
-    including retries. Warnings and errors name the URL without its
-    query string, which may carry an API key.
+    The headers, timeout, retry and pacing settings are the client's.
+    Retries on connect/read errors, HTTP 429 and 5xx, with exponential
+    backoff (backoff_s * 2**attempt). Other HTTP errors, redirects
+    included, fail immediately as ProtocolError: resending the same
+    request cannot help. The client's rate limiter, if it has one, gates
+    every attempt including retries. Warnings and errors name the URL
+    without its query string, which may carry an API key.
 
     Returns:
         (decoded JSON body, number of retries performed).
@@ -528,12 +530,8 @@ def request_json(
             UTF-8 JSON (a BOM allowed) or whose strings hold a lone
             surrogate.
     """
-    where = client._url.partition("?")[0]
-    headers = {"User-Agent": "geobox", **(headers or {})}
-    body = None
-    if json_body is not None:
-        body = _encode_body(json_body).encode("utf-8")
-        headers["Content-Type"] = "application/json"
+    where = client._where
+    body = None if json_body is None else _encode_body(json_body).encode("utf-8")
     last_failure = ""
     for attempt in range(client._max_retries + 1):
         if attempt > 0 and client._backoff_s:  # 2.0 ** 1024 overflows: not computed for 0
@@ -541,9 +539,7 @@ def request_json(
         if client._limiter is not None:
             client._limiter.acquire()
         try:
-            status, reply_headers, data = client._pool.request(
-                method, params, body, headers, client.TIMEOUT_S
-            )
+            status, reply_headers, data = client._pool.request(method, params, body)
         except OSError as exc:
             last_failure = f"{type(exc).__name__}: {exc}"
             logger.warning(
@@ -581,13 +577,14 @@ class ServiceClient:
 
     Binds the service's fixed configuration once: its ``url``, checked
     by ``check_http_url``, which calls it ``what``; a connection pool to
-    it; the per-attempt ``TIMEOUT_S`` that subclasses set; the retry
+    it, with ``headers`` and the ``TIMEOUT_S`` subclasses set; the retry
     settings; the rate limiter (``rate_per_sec=None`` means unpaced);
     the response cache; and ``stats``: a Counter of ``requests``,
     ``retries`` and ``cache_hits``, updated under a lock since pool
-    threads share one client. A negative ``max_retries``, or a
-    ``backoff_s`` that is negative or not finite, raises ``ValueError``.
-    Subclasses pass their cache key, request and decoder to ``_fetch``.
+    threads share one client. A bad header (see ``ConnectionPool``), a
+    negative ``max_retries``, or a ``backoff_s`` that is negative or not
+    finite, raises ``ValueError``. Subclasses pass their cache key,
+    request and decoder to ``_fetch``.
     """
 
     TIMEOUT_S: float
@@ -597,6 +594,7 @@ class ServiceClient:
         url: str,
         what: str,
         *,
+        headers: dict[str, str] | None = None,
         max_retries: int = 3,
         backoff_s: float = 0.5,
         rate_per_sec: float | None = None,
@@ -607,12 +605,13 @@ class ServiceClient:
             raise ValueError("max_retries must be >= 0")
         if not 0 <= backoff_s < math.inf:  # NaN fails both comparisons
             raise ValueError("backoff_s must be >= 0 and finite")
+        self._pool = ConnectionPool(url, headers or {}, self.TIMEOUT_S)  # before the cache loads
         self._max_retries = max_retries
         self._backoff_s = backoff_s
         self._limiter = RateLimiter(rate_per_sec) if rate_per_sec is not None else None
         self._cache = JsonlCache(cache_path)
         self._url = url
-        self._pool = ConnectionPool(url)
+        self._where = url.partition("?")[0]  # for messages: the query may hold a key
         self._stats_lock = threading.Lock()
         self.stats: collections.Counter[str] = collections.Counter()
 

@@ -9,7 +9,6 @@ free-form responses.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import re
@@ -88,6 +87,8 @@ def cache_key(model: str, system: str, user: str) -> str:
 
 @functools.lru_cache(maxsize=32)
 def _prefix_digest(model: str, system: str):
+    import hashlib  # on first use: it maps OpenSSL, which commands that hash nothing skip
+
     return hashlib.sha256(f"[{_JSON.encode(model)},{_JSON.encode(system)},".encode("utf-8"))
 
 
@@ -257,8 +258,10 @@ class ChatClient(ServiceClient):
     ``choices[0].message.content``. Completions are cached by
     (model, system, user) hash in an append-only JSONL file, written
     before the content is returned, so an interrupted run never repays
-    for answers it already received. Unpaced unless ``rate_per_sec``
-    is given; other ``options`` are those of ``ServiceClient``.
+    for answers it already received. A CR, LF or NUL in the bearer token
+    (``api_key``, else ``LLM_API_KEY``) raises ``ValueError`` here.
+    Unpaced unless ``rate_per_sec`` is given; other ``options`` are
+    those of ``ServiceClient``.
     """
 
     TIMEOUT_S = 120.0
@@ -267,8 +270,10 @@ class ChatClient(ServiceClient):
         base = base_url if base_url is not None else os.environ.get("LLM_API_BASE")
         if not base:
             raise ValueError("no chat endpoint: pass base_url or set LLM_API_BASE")
-        self._api_key = api_key if api_key is not None else os.environ.get("LLM_API_KEY")
-        super().__init__(base.rstrip("/") + "/chat/completions", "chat endpoint", **options)
+        key = api_key if api_key is not None else os.environ.get("LLM_API_KEY")
+        headers = {"Authorization": f"Bearer {key}"} if key else {}
+        url = base.rstrip("/") + "/chat/completions"
+        super().__init__(url, "chat endpoint", headers=headers, **options)
 
     def complete(self, request: ChatRequest) -> str:
         """Run one chat call, returning the completion text.
@@ -279,9 +284,6 @@ class ChatClient(ServiceClient):
             EmptyResponseError: the model returned no content.
         """
         def send():
-            headers = {}
-            if self._api_key:
-                headers["Authorization"] = f"Bearer {self._api_key}"
             body = {
                 "model": request.model,
                 "messages": [
@@ -291,7 +293,7 @@ class ChatClient(ServiceClient):
                 "temperature": TEMPERATURE,
                 "max_tokens": MAX_TOKENS,
             }
-            return request_json(self, "POST", json_body=body, headers=headers)
+            return request_json(self, "POST", json_body=body)
 
         key = cache_key(request.model, request.system, request.user)
         return self._fetch(key, send, pick=_completion_text)

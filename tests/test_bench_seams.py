@@ -13,6 +13,8 @@ import pathlib
 
 import pytest
 
+from geobox import reasoner
+
 _CHILD = pathlib.Path(__file__).resolve().parent.parent / "bench" / "child.py"
 
 
@@ -51,3 +53,23 @@ def test_every_counted_binding_resolves(module, path, name):
 def test_the_cli_binds_the_end_of_set_up(name):
     # The first call to one of these marks the end of set-up (setup_s).
     assert callable(getattr(importlib.import_module("geobox.cli"), name))
+
+
+def test_the_chat_client_calls_the_traced_request_json(monkeypatch, chat_stub):
+    # The span wraps the name in geobox.reasoner; a call made from anywhere else goes untimed.
+    assert ("geobox.reasoner", "request_json", "netutil.request_json") in SPANS
+    calls = []
+    real = reasoner.request_json
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reasoner, "request_json", counting)
+    client = reasoner.ChatClient(chat_stub.base_url, max_retries=0)
+    request = reasoner.ChatRequest(model="m", system="s", user="u")
+    client.complete(request)
+    assert calls == ["POST"]  # a miss
+    client.complete(request)
+    assert calls == ["POST"]  # a hit
+    client.close()

@@ -251,6 +251,21 @@ def test_non_finite_backoff_exits_1(capsys, tmp_path, dataset_path, chat_stub, v
     assert not preds.exists()
 
 
+def test_line_break_in_the_api_key_exits_1_before_any_record_runs(
+    capsys, monkeypatch, tmp_path, dataset_path, chat_stub
+):
+    started = []
+    monkeypatch.setattr("geobox.cli.run_experiment", lambda *a, **k: started.append(a))
+    monkeypatch.setenv("LLM_API_KEY", "k\r\nX-Injected: 1")
+    preds = tmp_path / "p.jsonl"
+    assert main(_run_args(dataset_path, chat_stub, preds, "--parallelism", "2")) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: header 'Authorization' holds a CR, LF or NUL character\n"
+    assert started == []
+    assert chat_stub.core.request_count == 0
+    assert not preds.exists()
+
+
 def test_many_retries_without_backoff_exit_3(capsys, tmp_path, dataset_path):
     # Every attempt is refused at once; no backoff of 2 ** 1024 is computed for them.
     preds = tmp_path / "p.jsonl"
@@ -570,6 +585,21 @@ def test_eval_against_wrong_dataset_exits_2(tmp_path, records, dataset_path, cha
     write_dataset(records[:5], short_path)
     code = main(["eval", "--predictions", str(preds_path), "--dataset", str(short_path)])
     assert code == EXIT_DATA
+
+
+def test_analyze_with_an_unknown_id_exits_2(capsys, tmp_path, records, dataset_path, chat_stub):
+    _echo(chat_stub, records)
+    preds_path = tmp_path / "preds.jsonl"
+    assert main(_run_args(dataset_path, chat_stub, preds_path)) == EXIT_OK
+    short_path = tmp_path / "short.jsonl"
+    write_dataset(records[:5], short_path)
+    errors_path = tmp_path / "errors.json"
+    capsys.readouterr()
+    argv = ["analyze", "--predictions", str(preds_path), "--dataset", str(short_path)]
+    assert main([*argv, "--out", str(errors_path)]) == EXIT_DATA
+    unknown = records[5].record_id
+    assert capsys.readouterr().err == f"data error: prediction for unknown record id {unknown!r}\n"
+    assert not errors_path.exists()
 
 
 def test_export_sft(capsys, tmp_path, dataset_path):

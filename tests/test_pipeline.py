@@ -238,6 +238,20 @@ def test_protocol_failure_becomes_uncovered_prediction(records, chat_stub):
     assert report.n_covered == 1
 
 
+def test_empty_completion_becomes_uncovered_prediction(records, chat_stub):
+    chat_stub.script(records[0].description, "  \n")  # registered first, so it wins
+    _script_echo(chat_stub, records)
+    predictions, report = run_experiment(
+        ExperimentConfig(Approach.DIRECT, "m"),
+        records[:2],
+        RunDeps(chat=_chat(chat_stub)),
+    )
+    assert predictions[0].flags == ("empty_response",)
+    assert not predictions[0].covered
+    assert predictions[1].covered
+    assert report.n_covered == 1
+
+
 # --- knowledge approaches ---------------------------------------------------------
 
 

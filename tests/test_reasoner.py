@@ -1,6 +1,8 @@
 import collections
 import concurrent.futures
+import os
 import re
+import subprocess
 import sys
 import time
 from contextlib import closing
@@ -20,6 +22,7 @@ from fixtures import (
     golden_cases,
     load_golden,
 )
+import geobox
 from geobox import (
     BoundingBox,
     ChatClient,
@@ -316,6 +319,17 @@ def test_cache_key_sensitive_to_every_field():
     assert cache_key("m2", "s", "u") != base
     assert cache_key("m", "s2", "u") != base
     assert cache_key("m", "s", "u2") != base
+
+
+def test_importing_the_cli_leaves_hashlib_unloaded():
+    # hashlib maps OpenSSL; only a command that builds a cache key pays for it.
+    src = os.path.dirname(os.path.dirname(geobox.__file__))
+    code = f"import sys; sys.path.insert(0, {src!r}); import geobox.cli; print(sorted(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert "'hashlib'" not in out
+    assert "'geobox.reasoner'" in out
 
 
 # --- chat client over HTTP ----------------------------------------------------------

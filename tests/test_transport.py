@@ -27,6 +27,7 @@ from geobox.netutil import (
     TransportError,
     request_json,
 )
+from geobox.pipeline import Approach, ExperimentConfig, RunDeps, run_experiment
 from geobox.reasoner import ChatClient, ChatRequest
 from stubs import ChatStub
 
@@ -236,9 +237,9 @@ def test_reply_framing_and_connection_reuse(
     raw_server, reply, half_close, status, body, connections
 ):
     server = raw_server(reply, keep_alive=True, half_close=half_close)
-    pool = ConnectionPool(server.url + "/x")
+    pool = ConnectionPool(server.url + "/x", {}, 5.0)
     for _ in range(2):
-        assert pool.request("GET", None, None, {}, 5.0)[::2] == (status, body)
+        assert pool.request("GET", None, None)[::2] == (status, body)
     pool.close()
     assert server.requests == ["GET /x HTTP/1.1"] * 2  # none sent on a connection that ended
     assert server.connections == connections
@@ -254,16 +255,16 @@ def test_reply_framing_and_connection_reuse(
 )
 def test_params_follow_the_urls_query(raw_server, path, target):
     server = raw_server(_reply("200 OK", _JSON_BODY))
-    pool = ConnectionPool(server.url + path)
-    pool.request("GET", {"address": "São Paulo"}, None, {}, 5.0)
+    pool = ConnectionPool(server.url + path, {}, 5.0)
+    pool.request("GET", {"address": "São Paulo"}, None)
     pool.close()
     assert server.requests == [f"GET {target} HTTP/1.1"]
 
 
 def test_reply_header_names_are_lower_cased(raw_server):
     server = raw_server(_reply("200 OK", _JSON_BODY, "X-Request-ID: abc", "Content-Type: a/b"))
-    pool = ConnectionPool(server.url + "/x")
-    status, headers, body = pool.request("GET", None, None, {}, 5.0)
+    pool = ConnectionPool(server.url + "/x", {}, 5.0)
+    status, headers, body = pool.request("GET", None, None)
     pool.close()
     assert headers == {"content-length": "8", "x-request-id": "abc", "content-type": "a/b"}
 
@@ -277,10 +278,12 @@ def _fields(n: int) -> list[str]:
     [
         (_reply("200 OK", _JSON_BODY, "X-Long: " + "a" * (65536 - 10)), True),
         (_reply("200 OK", _JSON_BODY, "X-Long: " + "a" * (65537 - 10)), False),
+        (_reply("200 " + "O" * (65536 - 15), _JSON_BODY), True),  # the status line
+        (_reply("200 " + "O" * (65537 - 15), _JSON_BODY), False),
         (_reply("200 OK", _JSON_BODY, *_fields(99)), True),  # with Content-Length, 100 headers
         (_reply("200 OK", _JSON_BODY, *_fields(100)), False),
     ],
-    ids=["line-65536", "line-65537", "headers-100", "headers-101"],
+    ids=["line-65536", "line-65537", "status-65536", "status-65537", "headers-100", "headers-101"],
 )
 def test_reply_limits_match_http_client(raw_server, reply, ok):
     server = raw_server(reply)
@@ -327,12 +330,11 @@ def test_broken_reply_is_retried_then_fails(raw_server, reply):
 
 @pytest.mark.parametrize("key", ["k\r\nX-Injected: 1", "k\nX-Injected: 1"], ids=["crlf", "lf"])
 def test_line_break_in_api_key_is_refused_before_sending(raw_server, monkeypatch, key):
+    # Refused when the client is built, so no request can carry it.
     server = raw_server(_chat_reply("fine"))
     monkeypatch.setenv("LLM_API_KEY", key)
-    client = ChatClient(base_url=server.url, max_retries=0)
     with pytest.raises(ValueError, match="'Authorization' holds a CR, LF or NUL") as caught:
-        client.complete(ChatRequest(model="m", system="s", user="u"))
-    client.close()
+        ChatClient(base_url=server.url, max_retries=0)
     assert key not in str(caught.value)
     assert server.connections == 0
 
@@ -344,9 +346,8 @@ def test_line_break_in_api_key_is_refused_before_sending(raw_server, monkeypatch
 )
 def test_bad_header_is_refused_before_sending(raw_server, headers):
     server = raw_server(_reply("200 OK", _JSON_BODY))
-    pool = ConnectionPool(server.url + "/x")
     with pytest.raises(ValueError, match="holds a CR, LF or NUL"):
-        pool.request("GET", None, None, headers, 5.0)
+        ConnectionPool(server.url + "/x", headers, 5.0)
     assert server.connections == 0
 
 
@@ -405,6 +406,35 @@ def test_utf16_reply_is_a_protocol_error(raw_server, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "body", [b"[]", b'{"choices": []}', b'{"choices": [{"message": {}}]}'],
+    ids=["list", "no-choice", "no-content"],
+)  # fmt: skip
+def test_completion_of_the_wrong_shape_is_a_protocol_error(raw_server, tmp_path, records, body):
+    server = raw_server(_reply("200 OK", body))
+    cache = tmp_path / "llm_cache.jsonl"
+    client = ChatClient(base_url=server.url, max_retries=0, cache_path=cache)
+    with pytest.raises(ProtocolError, match="malformed completion response") as caught:
+        client.complete(ChatRequest(model="m", system="s", user="u"))
+    assert type(caught.value) is ProtocolError  # not EmptyResponseError
+    predictions, _ = run_experiment(
+        ExperimentConfig(Approach.DIRECT, "m"), records[:1], RunDeps(chat=client)
+    )
+    client.close()
+    assert predictions[0].flags == ("protocol_error",)
+    assert not cache.exists()
+
+
+def _send_with_http_client(url, method, target, headers, body):
+    """Send one request the way ``http.client`` does, to compare its bytes with geobox's."""
+    parts = urllib.parse.urlsplit(url)
+    https = parts.scheme == "https"
+    conn = (http.client.HTTPSConnection if https else http.client.HTTPConnection)(parts.netloc)
+    conn.request(method, target, body=body, headers=headers)
+    conn.getresponse().read()
+    conn.close()
+
+
+@pytest.mark.parametrize(
     "url",
     [
         "http://127.0.0.1:8080/v1?q=1",
@@ -429,16 +459,45 @@ def test_request_bytes_match_http_client(raw_server, monkeypatch, url, method):
     if body is not None:
         headers["Content-Type"] = "application/json"
 
-    pool = ConnectionPool(url)
-    pool.request(method, None, body, headers, 5.0)
+    pool = ConnectionPool(url, {"Authorization": "Bearer k"}, 5.0)
+    pool.request(method, None, body)
     pool.close()
     parts = urllib.parse.urlsplit(url)
-    https = parts.scheme == "https"
-    conn = (http.client.HTTPSConnection if https else http.client.HTTPConnection)(parts.netloc)
     target = f"{parts.path}?{parts.query}" if parts.query else parts.path
-    conn.request(method, target, body=body, headers=headers)
-    conn.getresponse().read()
-    conn.close()
+    _send_with_http_client(url, method, target, headers, body)
+    assert len(server.raw) == 2
+    assert server.raw[0] == server.raw[1]
+
+
+@pytest.mark.parametrize("key", [None, "k-123"], ids=["no-key", "key"])
+def test_chat_client_sends_the_bytes_http_client_sends(raw_server, monkeypatch, key):
+    server = raw_server(_chat_reply("fine"), keep_alive=True)
+    headers = {"User-Agent": "geobox"}
+    if key is None:
+        monkeypatch.delenv("LLM_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("LLM_API_KEY", key)
+        headers["Authorization"] = f"Bearer {key}"
+    headers["Content-Type"] = "application/json"
+    client = ChatClient(base_url=server.url + "/v1", max_retries=0)
+    assert client.complete(ChatRequest(model="m", system="s", user="u")) == "fine"
+    client.close()
+    messages = [{"role": "system", "content": "s"}, {"role": "user", "content": "u"}]
+    body = {"model": "m", "messages": messages, "temperature": 0.0, "max_tokens": 1024}
+    target = "/v1/chat/completions"
+    _send_with_http_client(server.url, "POST", target, headers, json.dumps(body).encode())
+    assert len(server.raw) == 2
+    assert server.raw[0] == server.raw[1]
+
+
+def test_geocoder_client_sends_the_bytes_http_client_sends(raw_server):
+    reply = _reply("200 OK", b'{"status": "ZERO_RESULTS", "results": []}')
+    server = raw_server(reply, keep_alive=True)
+    client = GeocoderClient(server.url + "/geocode?region=br", api_key="k-123", max_retries=0)
+    assert client.geocode("São Paulo") is None
+    client.close()
+    target = "/geocode?region=br&address=S%C3%A3o+Paulo&key=k-123"
+    _send_with_http_client(server.url, "GET", target, {"User-Agent": "geobox"}, None)
     assert len(server.raw) == 2
     assert server.raw[0] == server.raw[1]
 
