@@ -6,7 +6,7 @@ predictions file), export-sft (write supervised tuning rows), analyze
 reports). A JSON config file can preset any flag; explicit flags win.
 
 Exit codes: 0 success, 1 usage/config error or an unwritable path, 2 data
-error, 3 transport failure.
+error, 3 a run whose every record failed to reach its endpoint.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .dataset import (
 )
 from .gazetteer import GazetteerStore, GeocoderClient
 from .metrics import MetricsReport, aggregate
-from .netutil import BAD_ROW, TransportError, atomic_write_text, decode_json_line
+from .netutil import BAD_ROW, atomic_write_text, decode_json_line
 from .pipeline import Approach, ExperimentConfig, RunDeps, run_experiment
 from .reasoner import ChatClient
 from .report import render_error_report, render_report
@@ -346,9 +346,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except TransportError as exc:
-        print(f"transport error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
     except OSError as exc:  # e.g. a cache or output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -92,13 +92,14 @@ class GeocoderClient(ServiceClient):
     optionally ``geometry.viewport`` (southwest/northeast corners).
 
     Raw replies are cached by (endpoint, normalized query) in an
-    append-only JSONL file, so reruns are free and offline. Requests are
+    append-only JSONL file, so reruns are free and offline; a cached
+    reply is parsed as a fresh one is, so one of the wrong shape raises
+    ``ProtocolError`` without a request. Requests are
     paced at ``RATE_PER_SEC`` unless ``rate_per_sec`` says otherwise, and
     retried on 429/5xx with exponential backoff; ``options`` are those of
     ``ServiceClient``. ``stats`` counts requests, retries, and cache hits.
     """
 
-    TIMEOUT_S = 30.0
     RATE_PER_SEC = 10.0
 
     def __init__(self, endpoint: str, api_key: str | None = None, **options) -> None:
@@ -123,7 +124,7 @@ class GeocoderClient(ServiceClient):
             return request_json(self, "GET", params=params)
 
         key = json.dumps([self._url, normalize_name(name)], separators=(",", ":"))
-        return self._fetch(key, send, decode=lambda data: self._parse_response(name, data))
+        return self._fetch(key, send, lambda data: self._parse_response(name, data))
 
     def _parse_response(self, query: str, data) -> GeoInfo | None:
         try:

@@ -262,23 +262,42 @@ class ConnectionPool:
     closed meanwhile is replaced by a new one once, without counting as a
     failed attempt. HTTPS verifies certificates and host names with
     ``ssl.create_default_context()``. Redirects are returned, not followed.
-    Every request goes to the path and query of ``url``, which
-    ``check_http_url`` has passed, with ``User-Agent: geobox`` and
-    ``headers``, rendered once here, and each new socket gets ``timeout``.
-    A port that is not a number from 0 to 65535, or a CR, LF or NUL in a
-    header, raises ``ValueError``; it names the header, not its value.
+    Every request goes to the path and query of ``url``, with
+    ``User-Agent: geobox`` and ``headers``, rendered once here, and each
+    new socket gets ``timeout``.
+
+    ``url`` must be ``http`` or ``https`` with a host, a port from 0 to
+    65535 if it names one, no user name or password, and no space,
+    control or non-ASCII character in its path or query; a header must
+    hold no CR, LF or NUL. Otherwise ``ValueError`` is raised. Its
+    message calls the URL ``what`` and names its path, never its query,
+    which may carry a key; it names a bad header, not its value.
     """
 
-    def __init__(self, url: str, headers: dict[str, str], timeout: float) -> None:
+    def __init__(self, url: str, what: str, headers: dict[str, str], timeout: float) -> None:
         parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            # Not echoed if "@" may follow a password; never with its query, which may hold a key.
+            got = "" if "@" in url else f", got {url.partition('?')[0]!r}"
+            raise ValueError(f"{what} must be an http:// or https:// URL with a host{got}")
+        if "@" in parts.netloc:  # not echoed: it may hold a password
+            raise ValueError(f"{what} must not carry a user name or password")
+        try:
+            port = parts.port
+        except ValueError as exc:  # not a number, or out of range
+            raise ValueError(f"{what} has a bad port: {exc}") from None
+        if _BAD_TARGET_CHAR.search(parts.path + parts.query):
+            raise ValueError(
+                f"{what} may not hold spaces, control or non-ASCII characters in its path "
+                f"or query: {parts.path!r}"
+            )
         self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
         self._join = "&" if parts.query else "?"  # before a request's own parameters
         self._https = parts.scheme == "https"
         default_port = 443 if self._https else 80
-        port = parts.port
         if port is None:
             port = default_port
-        host = parts.hostname or ""
+        host = parts.hostname
         if not host.isascii():
             host = host.encode("idna").decode("ascii")
         self._address = (host, port)
@@ -477,32 +496,6 @@ def _read_chunked(reader: IO[bytes]) -> bytes:
             raise ConnectionError("chunk not followed by a line end")
 
 
-def check_http_url(url: str, what: str) -> None:
-    """Raise ValueError unless ``url`` is an ``http``/``https`` URL the transport can use.
-
-    It needs a host, a port from 0 to 65535 if it names one, no user name
-    or password, and no space, control or non-ASCII character in its path
-    or query. Errors call the URL ``what``, and name its path, never its
-    query, which may carry a key.
-    """
-    parts = urllib.parse.urlsplit(url)
-    if parts.scheme not in ("http", "https") or not parts.hostname:
-        # Not echoed if "@" may follow a password; never with its query, which may hold a key.
-        got = "" if "@" in url else f", got {url.partition('?')[0]!r}"
-        raise ValueError(f"{what} must be an http:// or https:// URL with a host{got}")
-    if "@" in parts.netloc:  # not echoed: it may hold a password
-        raise ValueError(f"{what} must not carry a user name or password")
-    try:
-        parts.port
-    except ValueError as exc:  # not a number, or out of range
-        raise ValueError(f"{what} has a bad port: {exc}") from None
-    if _BAD_TARGET_CHAR.search(parts.path + parts.query):
-        raise ValueError(
-            f"{what} may not hold spaces, control or non-ASCII characters in its path "
-            f"or query: {parts.path!r}"
-        )
-
-
 def request_json(
     client: ServiceClient,
     method: str,
@@ -568,26 +561,22 @@ def request_json(
     )
 
 
-def _unchanged(value: Any) -> Any:
-    return value
-
-
 class ServiceClient:
     """Cached, retried, optionally paced JSON-over-HTTP calls to one service.
 
-    Binds the service's fixed configuration once: its ``url``, checked
-    by ``check_http_url``, which calls it ``what``; a connection pool to
-    it, with ``headers`` and the ``TIMEOUT_S`` subclasses set; the retry
-    settings; the rate limiter (``rate_per_sec=None`` means unpaced);
-    the response cache; and ``stats``: a Counter of ``requests``,
-    ``retries`` and ``cache_hits``, updated under a lock since pool
-    threads share one client. A bad header (see ``ConnectionPool``), a
-    negative ``max_retries``, or a ``backoff_s`` that is negative or not
-    finite, raises ``ValueError``. Subclasses pass their cache key,
-    request and decoder to ``_fetch``.
+    Binds the service's fixed configuration once: a connection pool to
+    its ``url``, which the pool checks and calls ``what``, with
+    ``headers`` and a timeout of ``TIMEOUT_S`` (30 s unless a subclass
+    sets another); the retry settings; the rate limiter
+    (``rate_per_sec=None`` means unpaced); the response cache; and
+    ``stats``: a Counter of ``requests``, ``retries`` and ``cache_hits``,
+    updated under a lock since pool threads share one client. A bad URL
+    or header (see ``ConnectionPool``), a negative ``max_retries``, or a
+    ``backoff_s`` that is negative or not finite, raises ``ValueError``.
+    Subclasses pass their cache key, request and decoder to ``_fetch``.
     """
 
-    TIMEOUT_S: float
+    TIMEOUT_S = 30.0
 
     def __init__(
         self,
@@ -600,12 +589,12 @@ class ServiceClient:
         rate_per_sec: float | None = None,
         cache_path: str | os.PathLike | None = None,
     ) -> None:
-        check_http_url(url, what)
+        # First: a bad URL is named before a bad setting, and before the cache loads.
+        self._pool = ConnectionPool(url, what, headers or {}, self.TIMEOUT_S)
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if not 0 <= backoff_s < math.inf:  # NaN fails both comparisons
             raise ValueError("backoff_s must be >= 0 and finite")
-        self._pool = ConnectionPool(url, headers or {}, self.TIMEOUT_S)  # before the cache loads
         self._max_retries = max_retries
         self._backoff_s = backoff_s
         self._limiter = RateLimiter(rate_per_sec) if rate_per_sec is not None else None
@@ -621,30 +610,25 @@ class ServiceClient:
         self._cache.close()
 
     def _fetch(
-        self,
-        key: str,
-        send: Callable[[], tuple[Any, int]],
-        *,
-        pick: Callable[[Any], Any] = _unchanged,
-        decode: Callable[[Any], Any] = _unchanged,
+        self, key: str, send: Callable[[], tuple[Any, int]], decode: Callable[[Any], Any]
     ) -> Any:
         """Return ``decode(value)`` for the value cached under ``key``.
 
-        On a miss, ``send()`` makes the request and returns ``(reply,
-        retries)`` like ``request_json``, and ``pick`` selects the value
-        to cache from the reply. Both ``pick`` and ``decode`` run before
-        the value is stored, so a malformed reply never poisons reruns.
+        On a miss, ``send()`` makes the request and returns ``(value to
+        cache, retries)``. ``decode`` checks every value, cached or fresh,
+        and a fresh one before it is stored, so a malformed reply never
+        poisons reruns, and a malformed cached value fails as it would
+        have fresh, without a request.
         """
         cached = self._cache.get(key)
         if cached is not None:
             with self._stats_lock:
                 self.stats["cache_hits"] += 1
             return decode(cached)
-        reply, retries = send()
+        value, retries = send()
         with self._stats_lock:
             self.stats["requests"] += 1
             self.stats["retries"] += retries
-        value = pick(reply)
         result = decode(value)
         self._cache.put(key, value)
         return result

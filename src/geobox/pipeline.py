@@ -48,11 +48,8 @@ class Approach(enum.Enum):
     @property
     def required_deps(self) -> tuple[str, ...]:
         """Names of RunDeps fields this approach cannot run without."""
-        if self is Approach.GEOAUG_ORACLE:
-            return ("chat", "store")
-        if self is Approach.GEOAUG_REMOTE:
-            return ("chat", "geocoder")
-        return ("chat",)
+        dep = _PIPELINES[self].dep
+        return ("chat", dep) if dep else ("chat",)
 
 
 @dataclass(frozen=True)
@@ -95,8 +92,7 @@ def _gold(config: ExperimentConfig, record: LocationRecord, deps: RunDeps) -> _C
 
 
 def _gazetteer(config: ExperimentConfig, record: LocationRecord, deps: RunDeps) -> _Candidates:
-    store = deps.store
-    return [(m.name, (store.lookup(m.name) if store else None) or m.gold) for m in record.mentions]
+    return [(m.name, deps.store.lookup(m.name) or m.gold) for m in record.mentions]
 
 
 def _geocoder(config: ExperimentConfig, record: LocationRecord, deps: RunDeps) -> _Candidates:
@@ -121,12 +117,14 @@ class _Pipeline(NamedTuple):
     """How one approach grounds a record.
 
     ``recall``, when set, is the recall stage; each mention it loses is
-    flagged as ``miss_flag + name`` unless ``miss_flag`` is None.
+    flagged as ``miss_flag + name`` unless ``miss_flag`` is None. ``dep``
+    names the RunDeps field, besides ``chat``, that ``recall`` reads.
     """
 
     prompt: PromptKind
     recall: Callable[[ExperimentConfig, LocationRecord, RunDeps], _Candidates] | None = None
     miss_flag: str | None = None
+    dep: str | None = None
 
 
 # Rows hold only this module's stage functions. They reach build_prompt,
@@ -137,12 +135,23 @@ _PIPELINES: dict[Approach, _Pipeline] = {
     Approach.KNOWLEDGE_BOX: _Pipeline(PromptKind.KNOWLEDGE_BOX),
     Approach.DIRECT: _Pipeline(PromptKind.DIRECT_BOX),
     Approach.REASONING_ORACLE: _Pipeline(PromptKind.GEO_AUGMENTED_BOX, _gold),
-    Approach.GEOAUG_ORACLE: _Pipeline(PromptKind.GEO_AUGMENTED_BOX, _gazetteer, "recall_miss:"),
-    Approach.GEOAUG_REMOTE: _Pipeline(PromptKind.GEO_AUGMENTED_BOX, _geocoder, "recall_miss:"),
+    Approach.GEOAUG_ORACLE: _Pipeline(
+        PromptKind.GEO_AUGMENTED_BOX, _gazetteer, "recall_miss:", "store"
+    ),
+    Approach.GEOAUG_REMOTE: _Pipeline(
+        PromptKind.GEO_AUGMENTED_BOX, _geocoder, "recall_miss:", "geocoder"
+    ),
     Approach.END_TO_END: _Pipeline(
         PromptKind.GEO_AUGMENTED_BOX, _llm_recaller, "invalid_mention:"
     ),
 }
+
+
+def _check_deps(approach: Approach, deps: RunDeps) -> None:
+    """Raise ValueError naming the first RunDeps field ``approach`` needs that is None."""
+    for name in approach.required_deps:
+        if getattr(deps, name) is None:
+            raise ValueError(f"{approach.value} requires deps.{name}")
 
 
 def run_record(config: ExperimentConfig, record: LocationRecord, deps: RunDeps) -> Prediction:
@@ -154,7 +163,11 @@ def run_record(config: ExperimentConfig, record: LocationRecord, deps: RunDeps) 
     reasoner output comes back as an uncovered prediction with parse
     flags. Transport and protocol failures do raise; run_experiment
     converts those to uncovered predictions.
+
+    Raises:
+        ValueError: a dependency the approach needs is missing.
     """
+    _check_deps(config.approach, deps)
     pipeline = _PIPELINES[config.approach]
     tag = config.approach.value
     if pipeline.prompt in NAME_INPUT_KINDS and record.gold_name is None:
@@ -215,9 +228,7 @@ def run_experiment(
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    for dep_name in config.approach.required_deps:
-        if getattr(deps, dep_name) is None:
-            raise ValueError(f"{config.approach.value} requires deps.{dep_name}")
+    _check_deps(config.approach, deps)
 
     def grounded(record: LocationRecord) -> Prediction:
         try:

@@ -258,10 +258,12 @@ class ChatClient(ServiceClient):
     ``choices[0].message.content``. Completions are cached by
     (model, system, user) hash in an append-only JSONL file, written
     before the content is returned, so an interrupted run never repays
-    for answers it already received. A CR, LF or NUL in the bearer token
-    (``api_key``, else ``LLM_API_KEY``) raises ``ValueError`` here.
-    Unpaced unless ``rate_per_sec`` is given; other ``options`` are
-    those of ``ServiceClient``.
+    for answers it already received; a cached value is checked as a
+    fresh one is, so one that is not a non-empty string raises
+    ``EmptyResponseError`` without a request. A CR, LF or NUL in the
+    bearer token (``api_key``, else ``LLM_API_KEY``) raises
+    ``ValueError`` here. Unpaced unless ``rate_per_sec`` is given; other
+    ``options`` are those of ``ServiceClient``.
     """
 
     TIMEOUT_S = 120.0
@@ -281,7 +283,8 @@ class ChatClient(ServiceClient):
         Raises:
             TransportError: endpoint unreachable/failing after retries.
             ProtocolError: response body not in the expected shape.
-            EmptyResponseError: the model returned no content.
+            EmptyResponseError: the model returned no content, or the
+                cached value is not a non-empty string.
         """
         def send():
             body = {
@@ -293,17 +296,18 @@ class ChatClient(ServiceClient):
                 "temperature": TEMPERATURE,
                 "max_tokens": MAX_TOKENS,
             }
-            return request_json(self, "POST", json_body=body)
+            reply, retries = request_json(self, "POST", json_body=body)
+            try:
+                return reply["choices"][0]["message"]["content"], retries
+            except (TypeError, KeyError, IndexError) as exc:
+                raise ProtocolError(f"malformed completion response: {str(reply)[:200]}") from exc
 
         key = cache_key(request.model, request.system, request.user)
-        return self._fetch(key, send, pick=_completion_text)
+        return self._fetch(key, send, _completion_text)
 
 
-def _completion_text(data) -> str:
-    try:
-        content = data["choices"][0]["message"]["content"]
-    except (TypeError, KeyError, IndexError) as exc:
-        raise ProtocolError(f"malformed completion response: {str(data)[:200]}") from exc
+def _completion_text(content) -> str:
+    """The completion text, cached or fresh, unless it is not a non-empty string."""
     if not isinstance(content, str) or not content.strip():
         raise EmptyResponseError("completion arrived with no content")
     return content

@@ -5,8 +5,10 @@ import pytest
 
 from fixtures import MIXED_EXPECT, echo_gold_script, make_fixture_gazetteer, mixed_failure_script
 from geobox.cli import EXIT_DATA, EXIT_OK, EXIT_TRANSPORT, EXIT_USAGE, main
-from geobox.dataset import read_predictions, write_dataset
+from geobox.dataset import read_predictions, write_dataset, write_predictions
+from geobox.metrics import Prediction
 from geobox.prompts import PromptKind, system_text
+from geobox.reasoner import build_prompt, cache_key
 
 
 @pytest.fixture
@@ -183,6 +185,31 @@ def test_reply_with_a_lone_surrogate_flags_only_its_record(
     assert flags.pop(records[0].record_id) == ("protocol_error",)
     assert set(flags.values()) == {()}
     assert len(flags) == len(records) - 1
+
+
+@pytest.mark.parametrize(
+    "value", [5, ["x"], {"a": 1}, "", "  "], ids=["int", "list", "object", "empty", "blank"]
+)
+def test_cached_chat_value_that_is_no_text_flags_only_its_record(
+    tmp_path, records, dataset_path, chat_stub, value
+):
+    # A cached value gets the check a fresh reply gets, and is not requested again.
+    description = records[0].description
+    request = build_prompt(PromptKind.DIRECT_BOX, model="test-m", description=description)
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    line = {"key": cache_key(request.model, request.system, request.user), "value": value}
+    (cache_dir / "llm_cache.jsonl").write_text(json.dumps(line) + "\n", encoding="utf-8")
+    _echo(chat_stub, records)
+    preds = tmp_path / "p.jsonl"
+    argv = _run_args(dataset_path, chat_stub, preds, "--cache-dir", str(cache_dir))
+    assert main(argv) == EXIT_OK
+    flags = {p.record_id: p.flags for p in read_predictions(preds)}
+    assert flags.pop(records[0].record_id) == ("empty_response",)
+    assert set(flags.values()) == {()}
+    assert len(flags) == len(records) - 1
+    assert chat_stub.core.request_count == len(records) - 1
+    assert not any(description in r["user"] for r in chat_stub.core.requests)
 
 
 @pytest.mark.parametrize("where", ["dataset", "predictions"])
@@ -575,6 +602,16 @@ def test_eval_rescores_prediction_file(capsys, tmp_path, records, dataset_path, 
     )
     assert code == EXIT_OK
     assert capsys.readouterr().out.splitlines()[2].startswith("replay")
+
+
+def test_eval_labels_predictions_with_no_approach_or_model_eval(
+    capsys, tmp_path, records, dataset_path
+):
+    preds_path = tmp_path / "preds.jsonl"
+    write_predictions([Prediction(record_id=r.record_id, approach="") for r in records], preds_path)
+    code = main(["eval", "--predictions", str(preds_path), "--dataset", dataset_path])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[2].split()[0] == "eval"
 
 
 def test_eval_against_wrong_dataset_exits_2(tmp_path, records, dataset_path, chat_stub):

@@ -258,6 +258,20 @@ def test_geocode_cache_file_survives_client_restart(geocoder_stub, tmp_path):
     assert geocoder_stub.core.request_count == 1
 
 
+def test_geocode_cached_reply_of_the_wrong_shape_is_a_protocol_error(geocoder_stub, tmp_path):
+    cache = tmp_path / "geo_cache.jsonl"
+    with closing(_client(geocoder_stub, cache_path=cache)) as client:
+        assert client.geocode("Oman") is None
+    # The cached ZERO_RESULTS reply becomes {"status": "OK", "results": []}.
+    cache.write_text(cache.read_text().replace('"ZERO_RESULTS"', '"OK"'))
+    geocoder_stub.add("Oman", lat=21.0, lng=57.0)
+    fresh = _client(geocoder_stub, cache_path=cache)
+    with pytest.raises(ProtocolError, match="malformed geocoder result for 'Oman'"):
+        fresh.geocode("Oman")
+    assert geocoder_stub.core.request_count == 1
+    assert fresh.stats["cache_hits"] == 1
+
+
 def test_geocode_negative_results_are_cached(geocoder_stub, tmp_path):
     cache = tmp_path / "geo_cache.jsonl"
     with closing(_client(geocoder_stub, cache_path=cache)) as client:

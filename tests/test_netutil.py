@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import pathlib
+import socket
 import stat
 import subprocess
 import sys
@@ -16,7 +17,15 @@ from hypothesis import strategies as st
 
 import geobox
 from geobox import netutil
-from geobox.netutil import JsonlCache, ServiceClient, atomic_write_jsonl, atomic_write_text
+from geobox.gazetteer import GeocoderClient
+from geobox.netutil import (
+    JsonlCache,
+    ServiceClient,
+    TransportError,
+    atomic_write_jsonl,
+    atomic_write_text,
+    request_json,
+)
 from geobox.reasoner import ChatClient, ChatRequest
 
 
@@ -200,6 +209,49 @@ def test_cache_fsyncs_its_directory_once_when_it_creates_the_file(tmp_path, monk
 def test_negative_retry_settings_are_rejected(setting):
     with pytest.raises(ValueError):
         ServiceClient("http://127.0.0.1:9", "test endpoint", **setting)
+
+
+def test_a_bare_service_client_builds_requests_and_closes():
+    assert ServiceClient.TIMEOUT_S == GeocoderClient.TIMEOUT_S == 30.0
+    assert ChatClient.TIMEOUT_S == 120.0
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        port = server.getsockname()[1]
+    # Nothing listens on the port now, so the one attempt is refused.
+    client = ServiceClient(f"http://127.0.0.1:{port}/x", "test endpoint", max_retries=0)
+    with pytest.raises(TransportError, match="still failing after 0 retries"):
+        request_json(client, "GET")
+    client.close()
+
+
+def test_a_failed_directory_fsync_closes_the_file_and_the_next_put_reopens_it(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "cache.jsonl"
+    opened = []
+    fsync_dir = netutil._fsync_dir
+    failures = [OSError(errno.EIO, "directory fsync failed")]
+
+    def spy_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    def fsync_dir_failing_once(directory):
+        if failures:
+            raise failures.pop()
+        fsync_dir(directory)
+
+    monkeypatch.setattr(netutil, "open", spy_open, raising=False)
+    monkeypatch.setattr(netutil, "_fsync_dir", fsync_dir_failing_once)
+    cache = JsonlCache(path)
+    with pytest.raises(OSError, match="directory fsync failed"):
+        cache.put("a", 1)
+    assert len(opened) == 1 and opened[0].closed
+    assert cache.get("a") is None
+    cache.put("a", 1)  # the file is still empty: its directory is fsynced again
+    assert len(opened) == 2 and not opened[1].closed
+    cache.close()
+    assert opened[1].closed
+    assert path.read_text(encoding="utf-8") == '{"key": "a", "value": 1}\n'
 
 
 def test_gets_during_concurrent_puts_lose_no_key(tmp_path):

@@ -53,6 +53,27 @@ def test_missing_deps_rejected(records, chat_stub):
             run_experiment(ExperimentConfig(approach, "m"), records, deps)
 
 
+@pytest.mark.parametrize(
+    ("approach", "missing"),
+    [
+        (Approach.DIRECT, "chat"),
+        (Approach.GEOAUG_ORACLE, "store"),
+        (Approach.GEOAUG_REMOTE, "geocoder"),
+    ],
+)
+@pytest.mark.parametrize("entry", [run_record, run_experiment], ids=lambda f: f.__name__)
+def test_a_missing_dependency_is_named_before_any_request(
+    records, store, chat_stub, geocoder_stub, approach, missing, entry
+):
+    deps = RunDeps(chat=_chat(chat_stub), store=store, geocoder=_geocoder(geocoder_stub))
+    deps = dataclasses.replace(deps, **{missing: None})
+    config = ExperimentConfig(approach, "m")
+    with pytest.raises(ValueError) as excinfo:
+        entry(config, records[1] if entry is run_record else records, deps)
+    assert excinfo.value.args == (f"{approach.value} requires deps.{missing}",)
+    assert chat_stub.core.request_count == geocoder_stub.core.request_count == 0
+
+
 def test_parallelism_must_be_positive(records, chat_stub):
     deps = RunDeps(chat=_chat(chat_stub))
     with pytest.raises(ValueError):
@@ -352,6 +373,24 @@ def test_geoaug_remote_uses_geocoder(records, chat_stub, geocoder_stub):
         "Gulf of Mexico",
         "Galveston",
     }
+
+
+def test_cached_geocoder_reply_of_the_wrong_shape_flags_protocol_error(
+    tmp_path, records, chat_stub, geocoder_stub
+):
+    target = records[1]
+    cache = tmp_path / "geo_cache.jsonl"
+    first = _geocoder(geocoder_stub, cache_path=cache)
+    assert first.geocode(target.mentions[0].name) is None
+    first.close()
+    # The cached ZERO_RESULTS reply becomes {"status": "OK", "results": []}.
+    cache.write_text(cache.read_text().replace('"ZERO_RESULTS"', '"OK"'))
+    _script_echo(chat_stub, records)
+    deps = RunDeps(chat=_chat(chat_stub), geocoder=_geocoder(geocoder_stub, cache_path=cache))
+    predictions, _ = run_experiment(ExperimentConfig(Approach.GEOAUG_REMOTE, "m"), [target], deps)
+    assert predictions[0].flags == ("protocol_error",)
+    assert geocoder_stub.core.request_count == 1  # the one that filled the cache
+    assert chat_stub.core.request_count == 0
 
 
 def test_geoaug_remote_miss_is_flagged_not_fatal(records, chat_stub, geocoder_stub):

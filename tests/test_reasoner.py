@@ -211,6 +211,10 @@ def _finditer_mentions(text):
 @example("")
 @example("x. A has a longitude of 1 and latitude of 2 B has a longitude of 3 and latitude of 4")
 @example("** has a longitude of 1 and latitude of 2; :C has a longitude of 1. and latitude of .5")
+@example(
+    "Parishas a longitude of 1.0 and latitude of 2.0. "
+    "Lyon has a longitude of 4.8 and latitude of 45.7."
+)
 def test_extract_mentions_matches_finditer(text):
     assert extract_mentions(text) == _finditer_mentions(text)
 

@@ -237,7 +237,7 @@ def test_reply_framing_and_connection_reuse(
     raw_server, reply, half_close, status, body, connections
 ):
     server = raw_server(reply, keep_alive=True, half_close=half_close)
-    pool = ConnectionPool(server.url + "/x", {}, 5.0)
+    pool = ConnectionPool(server.url + "/x", "test endpoint", {}, 5.0)
     for _ in range(2):
         assert pool.request("GET", None, None)[::2] == (status, body)
     pool.close()
@@ -255,7 +255,7 @@ def test_reply_framing_and_connection_reuse(
 )
 def test_params_follow_the_urls_query(raw_server, path, target):
     server = raw_server(_reply("200 OK", _JSON_BODY))
-    pool = ConnectionPool(server.url + path, {}, 5.0)
+    pool = ConnectionPool(server.url + path, "test endpoint", {}, 5.0)
     pool.request("GET", {"address": "São Paulo"}, None)
     pool.close()
     assert server.requests == [f"GET {target} HTTP/1.1"]
@@ -263,7 +263,7 @@ def test_params_follow_the_urls_query(raw_server, path, target):
 
 def test_reply_header_names_are_lower_cased(raw_server):
     server = raw_server(_reply("200 OK", _JSON_BODY, "X-Request-ID: abc", "Content-Type: a/b"))
-    pool = ConnectionPool(server.url + "/x", {}, 5.0)
+    pool = ConnectionPool(server.url + "/x", "test endpoint", {}, 5.0)
     status, headers, body = pool.request("GET", None, None)
     pool.close()
     assert headers == {"content-length": "8", "x-request-id": "abc", "content-type": "a/b"}
@@ -347,7 +347,7 @@ def test_line_break_in_api_key_is_refused_before_sending(raw_server, monkeypatch
 def test_bad_header_is_refused_before_sending(raw_server, headers):
     server = raw_server(_reply("200 OK", _JSON_BODY))
     with pytest.raises(ValueError, match="holds a CR, LF or NUL"):
-        ConnectionPool(server.url + "/x", headers, 5.0)
+        ConnectionPool(server.url + "/x", "test endpoint", headers, 5.0)
     assert server.connections == 0
 
 
@@ -459,7 +459,7 @@ def test_request_bytes_match_http_client(raw_server, monkeypatch, url, method):
     if body is not None:
         headers["Content-Type"] = "application/json"
 
-    pool = ConnectionPool(url, {"Authorization": "Bearer k"}, 5.0)
+    pool = ConnectionPool(url, "test endpoint", {"Authorization": "Bearer k"}, 5.0)
     pool.request(method, None, body)
     pool.close()
     parts = urllib.parse.urlsplit(url)
