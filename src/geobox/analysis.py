@@ -46,24 +46,18 @@ class ErrorReport:
         return asdict(self)
 
 
-def _negate_lons(box: BoundingBox) -> BoundingBox:
-    return BoundingBox(-box.lon_max, box.lat_min, -box.lon_min, box.lat_max)
-
-
-def _negate_lats(box: BoundingBox) -> BoundingBox:
-    return BoundingBox(box.lon_min, -box.lat_max, box.lon_max, -box.lat_min)
-
-
 def sign_flip_variants(box: BoundingBox) -> tuple[BoundingBox, BoundingBox, BoundingBox]:
     """The three nontrivial sign negations of a box.
 
     Negating an axis swaps its min/max, so the variants re-order bounds
     and stay valid boxes: (lons negated, lats negated, both negated).
     """
-    lons = _negate_lons(box)
-    lats = _negate_lats(box)
-    both = _negate_lats(lons)
-    return (lons, lats, both)
+    lon_min, lat_min, lon_max, lat_max = box.as_tuple()
+    return (
+        BoundingBox(-lon_max, lat_min, -lon_min, lat_max),
+        BoundingBox(lon_min, -lat_max, lon_max, -lat_min),
+        BoundingBox(-lon_max, -lat_max, -lon_min, -lat_min),
+    )
 
 
 def _edge_gaps(pred_box: BoundingBox, centers: list[GeoPoint]) -> tuple[float, ...]:

@@ -214,12 +214,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if flag is not None and not getattr(args, flag):
             raise UsageError(f"{approach.value} requires --{flag.replace('_', '-')}")
 
-    store = None
-    if args.gazetteer:
-        try:
-            store = GazetteerStore.load(args.gazetteer)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read gazetteer {args.gazetteer}: {exc}") from exc
+    store = GazetteerStore.load(args.gazetteer) if args.gazetteer else None
     geocoder = None
     try:
         if args.geocoder_endpoint:

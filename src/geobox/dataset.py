@@ -23,15 +23,11 @@ from .geo import (
     geoinfo_to_obj,
 )
 from .metrics import Prediction
-from .netutil import atomic_write_jsonl, read_jsonl
+from .netutil import DataError, atomic_write_jsonl, json_list, json_text, read_jsonl
 from .prompts import PromptKind
 from .reasoner import build_prompt
 
 logger = logging.getLogger(__name__)
-
-
-class DataError(RuntimeError):
-    """The input data is unusable (not a transient or protocol problem)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,19 +84,12 @@ class LoadReport:
         return len(self.skipped)
 
 
-def _json_list(value: Iterable, field: str) -> Iterable:
-    """``value``, unless a string or object, which would iterate as characters or keys."""
-    if isinstance(value, (str, dict)):
-        raise TypeError(f"{field} must be a list, got {type(value).__name__}")
-    return value
-
-
 def _mention_from_obj(obj: dict) -> Mention:
     if not isinstance(obj, dict):
         raise TypeError(f"expected a mention object, got {type(obj).__name__}")
     # A mention has gold only when both coordinates are present.
     has_gold = obj.get("lat") is not None and obj.get("lon") is not None
-    return Mention(str(obj["name"]), geoinfo_from_obj(obj) if has_gold else None)
+    return Mention(json_text(obj["name"], "name"), geoinfo_from_obj(obj) if has_gold else None)
 
 
 def record_from_obj(obj: dict) -> LocationRecord:
@@ -108,12 +97,12 @@ def record_from_obj(obj: dict) -> LocationRecord:
     # Positional, in field order: arguments are evaluated left to right,
     # so a malformed object fails on its first bad field in that order.
     return LocationRecord(
-        str(obj["id"]),
-        str(obj["description"]),
+        json_text(obj["id"], "id"),
+        json_text(obj["description"], "description"),
         bbox_from_obj(obj["gold_bbox"]),
-        tuple([_mention_from_obj(m) for m in _json_list(obj.get("mentions", []), "mentions")]),
-        str(obj["gold_name"]) if obj.get("gold_name") is not None else None,
-        str(obj["gold_country"]) if obj.get("gold_country") is not None else None,
+        tuple([_mention_from_obj(m) for m in json_list(obj.get("mentions", []), "mentions")]),
+        json_text(obj.get("gold_name"), "gold_name", None),
+        json_text(obj.get("gold_country"), "gold_country", None),
     )
 
 
@@ -159,10 +148,7 @@ def load_dataset(path: str | os.PathLike) -> tuple[list[LocationRecord], LoadRep
         skipped.append((line_no, str(exc)))
         logger.warning("dataset %s line %d skipped: %s", path, line_no, exc)
 
-    try:
-        records = read_jsonl(path, build, skip)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
+    records = read_jsonl(path, "dataset", build, skip)
     if not records:
         raise DataError(f"dataset {path} contains no valid records")
     return records, LoadReport(len(records), skipped)
@@ -308,25 +294,25 @@ def prediction_from_obj(obj: dict) -> Prediction:
     bbox = bbox_from_obj(bbox) if bbox else None
     point = obj.get("point")
     if point:
-        lat, lon = _json_list(point, "point")
+        lat, lon = json_list(point, "point")
         point = GeoPoint(float(lat), float(lon))
     else:
         point = None
     # Positional, in field order (see record_from_obj).
     return Prediction(
-        str(obj["record_id"]),
-        str(obj.get("approach", "")),
-        str(obj.get("model", "")),
+        json_text(obj["record_id"], "record_id"),
+        json_text(obj.get("approach"), "approach", ""),
+        json_text(obj.get("model"), "model", ""),
         bbox,
         point,
-        str(obj.get("raw_text", "")),
+        json_text(obj.get("raw_text"), "raw_text", ""),
         tuple(
             [
-                (str(name), geoinfo_from_obj(info))
-                for name, info in _json_list(obj.get("recalled", []), "recalled")
+                (json_text(name, "recalled name"), geoinfo_from_obj(info))
+                for name, info in json_list(obj.get("recalled", []), "recalled")
             ]
         ),
-        tuple([str(f) for f in _json_list(obj.get("flags", []), "flags")]),
+        tuple([json_text(f, "flags") for f in json_list(obj.get("flags", []), "flags")]),
     )
 
 
@@ -340,7 +326,4 @@ def read_predictions(path: str | os.PathLike) -> list[Prediction]:
     def refuse(line_no: int, exc: Exception) -> None:
         raise DataError(f"predictions {path} line {line_no}: {exc}") from exc
 
-    try:
-        return read_jsonl(path, prediction_from_obj, refuse)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read predictions {path}: {exc}") from exc
+    return read_jsonl(path, "predictions", prediction_from_obj, refuse)

@@ -65,6 +65,9 @@ class GazetteerStore:
 
         Lines that fail to parse or validate are skipped with a warning;
         a gazetteer with a few bad rows is still a usable gazetteer.
+
+        Raises:
+            DataError: the file cannot be opened or is not UTF-8.
         """
         skipped = []
 
@@ -72,7 +75,7 @@ class GazetteerStore:
             skipped.append(line_no)
             logger.warning("gazetteer %s line %d skipped: %s", path, line_no, exc)
 
-        store = cls(read_jsonl(path, geoinfo_from_obj, skip))
+        store = cls(read_jsonl(path, "gazetteer", geoinfo_from_obj, skip))
         if skipped:
             logger.warning("gazetteer %s: %d line(s) skipped", path, len(skipped))
         return store

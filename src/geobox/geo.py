@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .netutil import json_text
+
 # IUGG mean earth radius.
 EARTH_RADIUS_KM = 6371.0088
 
@@ -148,11 +150,11 @@ def geoinfo_from_obj(obj: dict) -> GeoInfo:
     # Positional, in field order: arguments are evaluated left to right,
     # so a malformed object fails on its first bad field in that order.
     return GeoInfo(
-        str(obj["name"]),
+        json_text(obj["name"], "name"),
         GeoPoint(float(obj["lat"]), float(obj["lon"])),
-        str(obj["country"]) if obj.get("country") is not None else None,
+        json_text(obj.get("country"), "country", None),
         bbox_from_obj(obj["bbox"]) if obj.get("bbox") is not None else None,
-        str(obj["id"]) if obj.get("id") is not None else None,
+        json_text(obj.get("id"), "id", None),
     )
 
 

@@ -25,6 +25,7 @@ from .geo import (
     bbox_centroid,
     bbox_intersection,
 )
+from .netutil import json_text
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,7 +79,7 @@ class MetricsReport:
     @classmethod
     def from_record(cls, rec: Mapping) -> "MetricsReport":
         return cls(
-            label=str(rec["label"]),
+            label=json_text(rec["label"], "label"),
             n_total=int(rec["n_total"]),
             n_covered=int(rec["n_covered"]),
             coverage_pct=float(rec["coverage_pct"]),
@@ -205,26 +206,27 @@ def aggregate(
         ValueError: on a prediction id missing from golds, or duplicated.
     """
     n_total = len(golds)
-    n_covered = 0
-    distances: list[float] = []
-    precisions: list[float] = []
-    recalls: list[float] = []
+    n_covered = n_boxes = 0
+    # Running totals added left to right from 0.0: the same bytes on every
+    # Python, where sum() compensates for rounding from 3.12 on.
+    distance = precision = recall = 0.0
     for pred in checked_predictions(predictions, golds):
         if not pred.covered:
             continue
         n_covered += 1
         gold = golds[pred.record_id]
-        distances.append(distance_error_km(pred, gold))
+        distance += distance_error_km(pred, gold)
         if pred.bbox is not None:
-            precision, recall, _ = score_pair(pred.bbox, gold)
-            precisions.append(precision)
-            recalls.append(recall)
+            n_boxes += 1
+            p, r, _ = score_pair(pred.bbox, gold)
+            precision += p
+            recall += r
 
     coverage_pct = 100.0 * n_covered / n_total if n_total else 0.0
-    mean_distance = sum(distances) / len(distances) if distances else None
-    if precisions:
-        p = sum(precisions) / len(precisions)
-        r = sum(recalls) / len(recalls)
+    mean_distance = distance / n_covered if n_covered else None
+    if n_boxes:
+        p = precision / n_boxes
+        r = recall / n_boxes
         f1 = harmonic_f1(p, r)
     else:
         p = r = f1 = None

@@ -98,8 +98,36 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
+class DataError(RuntimeError):
+    """The input data is unusable (not a transient or protocol problem)."""
+
+
 # A bad row of JSON input to every reader: bad UTF-8/JSON, wrong shape, float overflow.
 BAD_ROW = (ValueError, KeyError, TypeError, OverflowError)
+
+_REQUIRED: Any = object()
+
+
+def json_text(value: Any, field: str, default: Any = _REQUIRED) -> Any:
+    """A JSON text field: a string as is, a number as its digits, ``null`` as ``default``.
+
+    Raises ``TypeError`` naming ``field`` for ``null`` with no default, a
+    boolean, a list or an object, which ``str()`` would turn into a repr.
+    """
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    if value is None and default is not _REQUIRED:
+        return default
+    raise TypeError(f"{field} must be text, got {type(value).__name__}")
+
+
+def json_list(value: Iterable, field: str) -> Iterable:
+    """``value``, unless a string or object, which would iterate as characters or keys."""
+    if isinstance(value, (str, dict)):
+        raise TypeError(f"{field} must be a list, got {type(value).__name__}")
+    return value
 
 
 # `"\\" in line` is answered by memchr for most lines; this pattern then finds
@@ -140,22 +168,26 @@ def _refuse_lone_surrogates(value: Any) -> None:
     _encode_line(value).encode("utf-8")
 
 
-def read_jsonl(path: str | os.PathLike, build: Callable, bad: Callable) -> list:
+def read_jsonl(path: str | os.PathLike, what: str, build: Callable, bad: Callable) -> list:
     """``build(value)`` for each non-blank line of a UTF-8 JSONL file, in order, GC paused.
 
     A line (numbered from 1) whose ``decode_json_line`` or ``build``
     raises a ``BAD_ROW`` goes to ``bad(line number, error)`` instead; it
-    may raise.
+    may raise. A file that cannot be opened or is not UTF-8 raises
+    ``DataError("cannot read <what> <path>: ...")``.
     """
     rows: list = []
-    with open(path, "r", encoding="utf-8") as fh, gc_paused():
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                try:
-                    rows.append(build(decode_json_line(line)))
-                except BAD_ROW as exc:
-                    bad(line_no, exc)
+    try:
+        with open(path, "r", encoding="utf-8") as fh, gc_paused():
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    try:
+                        rows.append(build(decode_json_line(line)))
+                    except BAD_ROW as exc:
+                        bad(line_no, exc)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
     return rows
 
 

@@ -254,7 +254,7 @@ class ChatClient(ServiceClient):
     """Client for a chat-completions HTTP endpoint.
 
     POSTs ``{model, messages, temperature, max_tokens}`` to
-    ``<base>/chat/completions`` and reads
+    ``<base>/chat/completions``, before any query of ``<base>``, and reads
     ``choices[0].message.content``. Completions are cached by
     (model, system, user) hash in an append-only JSONL file, written
     before the content is returned, so an interrupted run never repays
@@ -274,7 +274,9 @@ class ChatClient(ServiceClient):
             raise ValueError("no chat endpoint: pass base_url or set LLM_API_BASE")
         key = api_key if api_key is not None else os.environ.get("LLM_API_KEY")
         headers = {"Authorization": f"Bearer {key}"} if key else {}
-        url = base.rstrip("/") + "/chat/completions"
+        # The path ends at the first "?" or "#"; the query and fragment stay last.
+        head = re.match(r"[^?#]*", base).group()
+        url = head.rstrip("/") + "/chat/completions" + base[len(head):]
         super().__init__(url, "chat endpoint", headers=headers, **options)
 
     def complete(self, request: ChatRequest) -> str:
