@@ -30,7 +30,7 @@ from .dataset import (
 )
 from .gazetteer import GazetteerStore, GeocoderClient
 from .metrics import MetricsReport, aggregate
-from .netutil import BAD_ROW, atomic_write_text, decode_json_line
+from .netutil import BAD_ROW, atomic_write_text, decode_json_line, gc_paused
 from .pipeline import Approach, ExperimentConfig, RunDeps, run_experiment
 from .reasoner import ChatClient
 from .report import render_error_report, render_report
@@ -266,6 +266,11 @@ def _derive_label(predictions) -> str:
     return "eval"
 
 
+# Rows and scores hold no reference cycles, so the collector would free
+# nothing while a rescore runs; paused, it skips its passes over every row
+# built. As a decorator the pause ends after the rows are freed on return,
+# so no pass over them is left for the first allocation after it.
+@gc_paused()
 def _cmd_eval(args: argparse.Namespace) -> int:
     _require(args, "predictions", "dataset")
     predictions = read_predictions(args.predictions)
@@ -293,6 +298,7 @@ def _cmd_export_sft(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@gc_paused()  # as for _cmd_eval
 def _cmd_analyze(args: argparse.Namespace) -> int:
     _require(args, "predictions", "dataset")
     predictions = read_predictions(args.predictions)

@@ -21,6 +21,7 @@ from .geo import (
     format_bbox,
     geoinfo_from_obj,
     geoinfo_to_obj,
+    value_type,
 )
 from .metrics import Prediction
 from .netutil import DataError, atomic_write_jsonl, json_list, json_text, read_jsonl
@@ -30,7 +31,7 @@ from .reasoner import build_prompt
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class Mention:
     """A location named inside a description, with optional gold geography."""
 
@@ -42,7 +43,7 @@ class Mention:
             raise ValueError("mention name must be non-empty")
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class LocationRecord:
     """One dataset example.
 

@@ -20,7 +20,14 @@ import os
 from typing import Iterable, Iterator
 
 from .geo import BoundingBox, GeoInfo, GeoPoint, geoinfo_from_obj, geoinfo_to_obj
-from .netutil import ProtocolError, ServiceClient, atomic_write_jsonl, read_jsonl, request_json
+from .netutil import (
+    ProtocolError,
+    ServiceClient,
+    atomic_write_jsonl,
+    json_text,
+    read_jsonl,
+    request_json,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -157,11 +164,16 @@ class GeocoderClient(ServiceClient):
                     # e.g. a viewport wrapping the antimeridian; keep center.
                     logger.warning("unusable viewport for %r, keeping center only", query)
                     bbox = None
+            # json_text refuses a list, object or boolean, empty or not; any
+            # other empty value falls back to the query, or to no id.
+            address, place_id = first.get("formatted_address"), first.get("place_id")
+            name = json_text(address, "formatted_address", None)
+            source_id = json_text(place_id, "place_id", None)
             return GeoInfo(
-                name=str(first.get("formatted_address") or query),
+                name=name if address else query,
                 center=center,
                 bbox=bbox,
-                source_id=str(first["place_id"]) if first.get("place_id") else None,
+                source_id=source_id if place_id else None,
             )
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"malformed geocoder result for {query!r}: {exc}") from exc

@@ -13,8 +13,8 @@ rejected at construction time.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 from .netutil import json_text
 
@@ -31,7 +31,43 @@ def _check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+def value_type(cls):
+    """``@dataclass(frozen=True, slots=True)``, with an ``__init__`` that sets slots directly.
+
+    The class keeps everything the plain declaration gives it: the
+    ``__init__`` signature (names, order, defaults, annotations), the
+    ``__post_init__`` call, ``fields``, ``replace``, eq, hash, repr,
+    pickling and ``FrozenInstanceError``. Only the stores differ: the
+    frozen dataclass ``__init__`` stores each field through
+    ``object.__setattr__``, which finds the slot's member descriptor on
+    the type first; this one calls each descriptor's ``__set__`` itself.
+    """
+    cls = dataclasses.dataclass(frozen=True, slots=True, init=False)(cls)
+    fields = dataclasses.fields(cls)
+    namespace = {"__name__": cls.__module__}
+    params, body = [], []
+    for f in fields:
+        if f.default_factory is not dataclasses.MISSING or not f.init or f.kw_only:
+            raise TypeError(f"{cls.__name__}.{f.name}: value_type fields take plain defaults only")
+        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is dataclasses.MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_dflt_{f.name}"] = f.default
+            params.append(f"{f.name}=_dflt_{f.name}")
+        body.append(f"    _set_{f.name}(self, {f.name})\n")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()\n")
+    # A default before a required field fails here, as a SyntaxError.
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", namespace)
+    init = namespace["__init__"]
+    init.__annotations__ = {**{f.name: f.type for f in fields}, "return": None}
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@value_type
 class GeoPoint:
     """A point on the sphere: latitude and longitude in decimal degrees.
 
@@ -55,7 +91,7 @@ class GeoPoint:
             raise ValueError(f"longitude out of range [-180, 180]: {self.lon!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class BoundingBox:
     """An axis-aligned box: (lon_min, lat_min, lon_max, lat_max) in degrees.
 
@@ -109,7 +145,7 @@ class BoundingBox:
         return (self.lon_min, self.lat_min, self.lon_max, self.lat_max)
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class GeoInfo:
     """What a recaller knows about one named location.
 

@@ -24,11 +24,12 @@ from .geo import (
     bbox_area_km2,
     bbox_centroid,
     bbox_intersection,
+    value_type,
 )
 from .netutil import json_text
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class Prediction:
     """One system output for one record.
 

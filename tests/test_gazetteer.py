@@ -272,6 +272,42 @@ def test_geocode_cached_reply_of_the_wrong_shape_is_a_protocol_error(geocoder_st
     assert fresh.stats["cache_hits"] == 1
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("formatted_address", ["Oslo", "NO"]), ("place_id", {"a": 1}), ("formatted_address", False)],
+)
+def test_geocode_non_text_field_is_a_protocol_error(geocoder_stub, tmp_path, field, value):
+    cache = tmp_path / "geo_cache.jsonl"
+    geocoder_stub.add("Oslo", lat=59.9, lng=10.7)
+    geocoder_stub._places["oslo"][field] = value
+    error = f"malformed geocoder result for 'Oslo': {field} must be text, got {type(value).__name__}"
+    with closing(_client(geocoder_stub, cache_path=cache)) as client:
+        with pytest.raises(ProtocolError, match=error):
+            client.geocode("Oslo")
+    assert not cache.exists()  # a malformed reply is not cached
+
+    # The same reply, cached, fails the same way and sends no request.
+    key = json.dumps([geocoder_stub.base_url, "oslo"], separators=(",", ":"))
+    reply = {"status": "OK", "results": [geocoder_stub._places["oslo"]]}
+    cache.write_text(json.dumps({"key": key, "value": reply}) + "\n")
+    with closing(_client(geocoder_stub, cache_path=cache)) as fresh:
+        with pytest.raises(ProtocolError, match=error):
+            fresh.geocode("Oslo")
+    assert fresh.stats["cache_hits"] == 1
+    assert geocoder_stub.core.request_count == 1
+
+
+@pytest.mark.parametrize(
+    "address, place_id, name, source_id",
+    [(7, 12.5, "7", "12.5"), ("", "", "Oslo", None), (0, 0, "Oslo", None), (None, None, "Oslo", None)],
+)
+def test_geocode_text_fields_as_before(geocoder_stub, address, place_id, name, source_id):
+    geocoder_stub.add("Oslo", lat=59.9, lng=10.7)
+    geocoder_stub._places["oslo"].update(formatted_address=address, place_id=place_id)
+    info = _client(geocoder_stub).geocode("Oslo")
+    assert (info.name, info.source_id) == (name, source_id)
+
+
 def test_geocode_negative_results_are_cached(geocoder_stub, tmp_path):
     cache = tmp_path / "geo_cache.jsonl"
     with closing(_client(geocoder_stub, cache_path=cache)) as client:

@@ -1,10 +1,12 @@
-"""The rescore goldens hold under every other supported Python on ``PATH``.
+"""The rescore goldens and the value types hold under every other supported Python on ``PATH``.
 
-``geobox eval`` and ``geobox analyze`` over ``goldens/rescore/`` run, with
-``PYTHONPATH`` set to this checkout's ``src``, under each of
-``python3.10`` to ``python3.13`` that starts and is not the interpreter
-running the tests, and must write the checked-in report bytes. The test
-skips when no such interpreter starts.
+Each test runs, with ``PYTHONPATH`` set to this checkout's ``src``, under
+each of ``python3.10`` to ``python3.13`` that starts and is not the
+interpreter running the tests, and skips when no such interpreter starts.
+``geobox eval`` and ``geobox analyze`` over ``goldens/rescore/`` must
+write the checked-in report bytes. The value types' ``__init__`` stores
+through each version's slot descriptors, so a short script builds each
+type by position and by keyword, replaces, pickles and freezes it.
 """
 
 import os
@@ -62,3 +64,52 @@ def test_rescore_goldens_under_other_pythons(tmp_path):
             )
             assert done.returncode == 0, (exe, command, done.stderr)
             assert out.read_bytes() == (RESCORE_DIR / golden).read_bytes(), (exe, command)
+
+
+VALUE_TYPES_SCRIPT = """
+import dataclasses, pickle
+from geobox import BoundingBox, GeoInfo, GeoPoint, LocationRecord, Mention, Prediction
+
+box = BoundingBox(0.0, 0.0, 1.0, 1.0)
+info = GeoInfo("Oman", GeoPoint(0.5, 0.5))
+cases = [
+    (GeoPoint, (1.5, -2.5)),
+    (BoundingBox, (0.0, -1.0, 2.0, 3.0)),
+    (GeoInfo, ("Oman", GeoPoint(0.5, 0.5), "OM", box, "p1")),
+    (Prediction, ("r1", "direct", "m", box, None, "text", (("Oman", info),), ("degraded",))),
+    (Mention, ("Oman", info)),
+    (LocationRecord, ("r1", "Near Oman", box, (Mention("Oman"),), "Oman", "OM")),
+]
+for cls, args in cases:
+    names = [f.name for f in dataclasses.fields(cls)]
+    value = cls(*args)
+    assert tuple(getattr(value, name) for name in names) == args, cls
+    assert cls(**dict(zip(names, args))) == value, cls
+    assert dataclasses.replace(value, **{names[0]: args[0]}) == value, cls
+    assert pickle.loads(pickle.dumps(value)) == value, cls
+    try:
+        setattr(value, names[0], args[0])
+    except dataclasses.FrozenInstanceError:
+        pass
+    else:
+        raise AssertionError(f"{cls.__name__} is not frozen")
+try:
+    dataclasses.replace(box, lon_min=2.0)
+except ValueError as exc:
+    assert str(exc).startswith("lon_min > lon_max (2.0 > 1.0)"), exc
+else:
+    raise AssertionError("replace skipped __post_init__")
+print("ok")
+"""
+
+
+def test_value_types_under_other_pythons():
+    pythons = _other_pythons()
+    if not pythons:
+        pytest.skip("no other python3.10..python3.13 starts")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for exe in pythons:
+        done = subprocess.run(
+            [exe, "-c", VALUE_TYPES_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (done.returncode, done.stdout) == (0, "ok\n"), (exe, done.stderr)
