@@ -13,9 +13,17 @@ import tempfile
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from geobox import BoundingBox, ChatClient, GazetteerStore, GeoInfo, GeoPoint, format_bbox
+from geobox import (
+    BoundingBox,
+    ChatClient,
+    GazetteerStore,
+    GeoInfo,
+    GeoPoint,
+    export_finetune_jsonl,
+    format_bbox,
+)
 from geobox.analysis import analyze_errors
-from geobox.dataset import LocationRecord, Mention, export_finetune_jsonl, golds_by_id
+from geobox.dataset import LocationRecord, Mention, golds_by_id
 from geobox.pipeline import Approach, ExperimentConfig, RunDeps, run_experiment
 from geobox.report import render_error_report, render_report
 

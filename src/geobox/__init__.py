@@ -10,11 +10,9 @@ thing over JSONL datasets.
 from .analysis import ErrorReport, analyze_errors
 from .dataset import (
     DataError,
-    ExportStats,
     LoadReport,
     LocationRecord,
     Mention,
-    export_finetune_jsonl,
     golds_by_id,
     load_dataset,
     read_predictions,
@@ -52,8 +50,10 @@ from .prompts import PromptKind, system_text
 from .reasoner import (
     ChatClient,
     ChatRequest,
+    ExportStats,
     RecalledMention,
     build_prompt,
+    export_finetune_jsonl,
     extract_mentions,
     extract_prediction,
     mention_sentence,

@@ -20,8 +20,6 @@ from typing import Sequence
 
 from .analysis import analyze_errors
 from .dataset import (
-    DataError,
-    export_finetune_jsonl,
     golds_by_id,
     load_dataset,
     read_predictions,
@@ -29,10 +27,10 @@ from .dataset import (
     write_predictions,
 )
 from .gazetteer import GazetteerStore, GeocoderClient
+from .jsonio import BAD_ROW, DataError, atomic_write_text, decode_json_line, gc_paused
 from .metrics import MetricsReport, aggregate
-from .netutil import BAD_ROW, atomic_write_text, decode_json_line, gc_paused
 from .pipeline import Approach, ExperimentConfig, RunDeps, run_experiment
-from .reasoner import ChatClient
+from .reasoner import ChatClient, export_finetune_jsonl
 from .report import render_error_report, render_report
 
 logger = logging.getLogger(__name__)
@@ -285,6 +283,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@gc_paused()  # as for _cmd_eval: records and tuning rows hold no cycles either
 def _cmd_export_sft(args: argparse.Namespace) -> int:
     _require(args, "dataset", "approach", "out")
     records, _ = load_dataset(args.dataset)

@@ -1,4 +1,4 @@
-"""Dataset records, JSONL loading, subsampling, and tuning exports.
+"""Dataset records, their JSONL loading and writing, and subsampling.
 
 A record pairs a natural-language location description with gold
 geometry: the gold bounding box, optionally a canonical name/country for
@@ -11,22 +11,19 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .geo import (
     BoundingBox,
     GeoInfo,
     GeoPoint,
     bbox_from_obj,
-    format_bbox,
     geoinfo_from_obj,
     geoinfo_to_obj,
     value_type,
 )
+from .jsonio import DataError, atomic_write_jsonl, json_list, json_text, read_jsonl
 from .metrics import Prediction
-from .netutil import DataError, atomic_write_jsonl, json_list, json_text, read_jsonl
-from .prompts import PromptKind
-from .reasoner import build_prompt
 
 logger = logging.getLogger(__name__)
 
@@ -211,65 +208,6 @@ def sample_train_subset(
         j = i + rng.below(len(indices) - i)
         indices[i], indices[j] = indices[j], indices[i]
     return [records[i] for i in indices[:n]]
-
-
-# --- supervised tuning export --------------------------------------------
-
-
-@dataclass
-class ExportStats:
-    written: int = 0
-    skipped: int = 0
-
-
-def export_finetune_jsonl(
-    records: Iterable[LocationRecord],
-    approach: str,
-    out_path: str | os.PathLike,
-) -> ExportStats:
-    """Write {system, user, assistant} tuning rows for a box approach.
-
-    Prompts are rendered without few-shot exemplars (the tuned model
-    replaces them); the assistant turn is the canonical rendering of the
-    gold box. Geo-augmented export skips records with no gold-annotated
-    mentions — a degraded prompt is not a training example — and counts
-    them.
-
-    Args:
-        approach: "direct" or "geoaug-oracle".
-
-    Raises:
-        ValueError: unsupported approach.
-    """
-    if approach == "direct":
-        kind = PromptKind.DIRECT_BOX
-    elif approach == "geoaug-oracle":
-        kind = PromptKind.GEO_AUGMENTED_BOX
-    else:
-        raise ValueError(f"unsupported tuning export approach {approach!r}")
-
-    stats = ExportStats()
-
-    def rows() -> Iterator[dict]:
-        for record in records:
-            recalled = []
-            if kind is PromptKind.GEO_AUGMENTED_BOX:
-                recalled = [(m.name, m.gold) for m in record.mentions if m.gold is not None]
-                if not recalled:
-                    stats.skipped += 1
-                    continue
-            request = build_prompt(
-                kind, model="", description=record.description, recalled=recalled, few_shot=False
-            )
-            yield {
-                "system": request.system,
-                "user": request.user,
-                "assistant": format_bbox(record.gold_bbox),
-            }
-            stats.written += 1
-
-    atomic_write_jsonl(out_path, rows())
-    return stats
 
 
 # --- prediction persistence ----------------------------------------------

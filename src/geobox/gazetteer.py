@@ -20,14 +20,8 @@ import os
 from typing import Iterable, Iterator
 
 from .geo import BoundingBox, GeoInfo, GeoPoint, geoinfo_from_obj, geoinfo_to_obj
-from .netutil import (
-    ProtocolError,
-    ServiceClient,
-    atomic_write_jsonl,
-    json_text,
-    read_jsonl,
-    request_json,
-)
+from .jsonio import atomic_write_jsonl, json_text, read_jsonl
+from .netutil import ProtocolError, ServiceClient, request_json
 
 logger = logging.getLogger(__name__)
 

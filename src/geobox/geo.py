@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .netutil import json_text
+from .jsonio import json_text
 
 # IUGG mean earth radius.
 EARTH_RADIUS_KM = 6371.0088

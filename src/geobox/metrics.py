@@ -26,7 +26,7 @@ from .geo import (
     bbox_intersection,
     value_type,
 )
-from .netutil import json_text
+from .jsonio import json_text
 
 
 @value_type

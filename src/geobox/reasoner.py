@@ -1,9 +1,9 @@
 """Chat-based reasoning over location descriptions.
 
 This module owns the LLM protocol end to end: building chat requests
-from records and recalled geography, talking to a chat-completions
-endpoint (cached, retried), and digging structured geometry back out of
-free-form responses.
+from records and recalled geography (tuning exports included), talking
+to a chat-completions endpoint (cached, retried), and digging structured
+geometry back out of free-form responses.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .geo import BoundingBox, GeoInfo, GeoPoint, format_coord
+from .dataset import LocationRecord
+from .geo import BoundingBox, GeoInfo, GeoPoint, format_bbox, format_coord
+from .jsonio import atomic_write_jsonl
 from .netutil import EmptyResponseError, ProtocolError, ServiceClient, request_json
 from .parsing import _NUM, parse_bbox, parse_point
 from .prompts import NAME_INPUT_KINDS, PromptKind, system_text
@@ -152,6 +154,65 @@ def _order_by_appearance(
         return (pos if pos >= 0 else len(description) + 1, index)
 
     return [pair for _, pair in sorted(enumerate(recalled), key=sort_key)]
+
+
+# --- supervised tuning export --------------------------------------------
+
+
+@dataclass
+class ExportStats:
+    written: int = 0
+    skipped: int = 0
+
+
+def export_finetune_jsonl(
+    records: Iterable[LocationRecord],
+    approach: str,
+    out_path: str | os.PathLike,
+) -> ExportStats:
+    """Write {system, user, assistant} tuning rows for a box approach.
+
+    Prompts are rendered without few-shot exemplars (the tuned model
+    replaces them); the assistant turn is the canonical rendering of the
+    gold box. Geo-augmented export skips records with no gold-annotated
+    mentions — a degraded prompt is not a training example — and counts
+    them.
+
+    Args:
+        approach: "direct" or "geoaug-oracle".
+
+    Raises:
+        ValueError: unsupported approach.
+    """
+    if approach == "direct":
+        kind = PromptKind.DIRECT_BOX
+    elif approach == "geoaug-oracle":
+        kind = PromptKind.GEO_AUGMENTED_BOX
+    else:
+        raise ValueError(f"unsupported tuning export approach {approach!r}")
+
+    stats = ExportStats()
+
+    def rows() -> Iterator[dict]:
+        for record in records:
+            recalled = []
+            if kind is PromptKind.GEO_AUGMENTED_BOX:
+                recalled = [(m.name, m.gold) for m in record.mentions if m.gold is not None]
+                if not recalled:
+                    stats.skipped += 1
+                    continue
+            request = build_prompt(
+                kind, model="", description=record.description, recalled=recalled, few_shot=False
+            )
+            yield {
+                "system": request.system,
+                "user": request.user,
+                "assistant": format_bbox(record.gold_bbox),
+            }
+            stats.written += 1
+
+    atomic_write_jsonl(out_path, rows())
+    return stats
 
 
 # --- response extraction -------------------------------------------------

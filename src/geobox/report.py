@@ -85,18 +85,18 @@ def _render_text(rows: list[tuple[str, ...]]) -> str:
     return "\n".join(lines)
 
 
-def _render_markdown(rows: list[tuple[str, ...]]) -> str:
-    lines = ["| " + " | ".join(COLUMNS) + " |"]
-    lines.append("|" + "|".join(" --- " for _ in COLUMNS) + "|")
+def _render_markdown(columns: Sequence[str], rows: list[tuple[str, ...]]) -> str:
+    lines = ["| " + " | ".join(columns) + " |"]
+    lines.append("|" + "|".join(" --- " for _ in columns) + "|")
     for row in rows:
         lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines)
 
 
-def _render_csv(rows: list[tuple[str, ...]]) -> str:
+def _render_csv(columns: Sequence[str], rows: list[tuple[str, ...]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COLUMNS)
+    writer.writerow(columns)
     writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
 
@@ -116,13 +116,11 @@ ERROR_FIELDS = (
 def render_error_report(errors: ErrorReport, fmt: str = "text") -> str:
     """Render error-probe counts in the same three formats."""
     if fmt == "markdown":
-        lines = ["| Probe | Count |", "| --- | --- |"]
-        lines += [f"| {title} | {getattr(errors, name)} |" for name, title in ERROR_FIELDS]
-        return "\n".join(lines)
+        rows = [(title, str(getattr(errors, name))) for name, title in ERROR_FIELDS]
+        return _render_markdown(("Probe", "Count"), rows)
     if fmt == "csv":
-        lines = ["probe,count"]
-        lines += [f"{name},{getattr(errors, name)}" for name, _ in ERROR_FIELDS]
-        return "\n".join(lines)
+        rows = [(name, str(getattr(errors, name))) for name, _ in ERROR_FIELDS]
+        return _render_csv(("probe", "count"), rows)
     if fmt == "text":
         width = max(len(title) for _, title in ERROR_FIELDS)
         return "\n".join(
@@ -143,7 +141,7 @@ def render_report(entries: Sequence[tuple[str, MetricsReport]], fmt: str = "text
     if fmt == "text":
         return _render_text(rows)
     if fmt == "markdown":
-        return _render_markdown(rows)
+        return _render_markdown(COLUMNS, rows)
     if fmt == "csv":
-        return _render_csv(rows)
+        return _render_csv(COLUMNS, rows)
     raise ValueError(f"unknown format {fmt!r}")

@@ -9,7 +9,6 @@ from geobox.dataset import (
     DataError,
     LocationRecord,
     Mention,
-    export_finetune_jsonl,
     golds_by_id,
     load_dataset,
     prediction_from_obj,
@@ -22,7 +21,7 @@ from geobox.dataset import (
     write_predictions,
 )
 from geobox.prompts import PromptKind
-from geobox.reasoner import build_prompt
+from geobox.reasoner import build_prompt, export_finetune_jsonl
 
 # --- record validation ---------------------------------------------------------
 

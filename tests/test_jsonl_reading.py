@@ -1,7 +1,7 @@
 """The JSONL loaders decode exactly as a plain ``json.loads`` loop did.
 
 ``read_predictions`` and ``load_dataset`` run on the shared line decoder
-(``netutil.decode_json_line``) with the cyclic GC paused. Each malformed
+(``jsonio.decode_json_line``) with the cyclic GC paused. Each malformed
 line must still give the error text and line number that the earlier
 ``json.loads`` loop with keyword-built values gave, copied here as the
 reference (except a line that is not an object, which that loop let
@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from geobox import GazetteerStore, GeoInfo, GeoPoint, Prediction
 from geobox.dataset import DataError, LocationRecord, Mention, load_dataset, read_predictions
 from geobox.geo import bbox_from_obj
-from geobox.netutil import JsonlCache, decode_json_line, gc_paused
+from geobox.jsonio import decode_json_line, gc_paused
+from geobox.netutil import JsonlCache
 
 # --- the earlier decoding, copied as the reference ----------------------------------
 

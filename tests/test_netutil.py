@@ -18,14 +18,8 @@ from hypothesis import strategies as st
 import geobox
 from geobox import netutil
 from geobox.gazetteer import GeocoderClient
-from geobox.netutil import (
-    JsonlCache,
-    ServiceClient,
-    TransportError,
-    atomic_write_jsonl,
-    atomic_write_text,
-    request_json,
-)
+from geobox.jsonio import atomic_write_jsonl, atomic_write_text
+from geobox.netutil import JsonlCache, ServiceClient, TransportError, request_json
 from geobox.reasoner import ChatClient, ChatRequest
 
 
@@ -435,4 +429,4 @@ def test_json_input_is_decoded_only_by_netutil():
         found = []
         _json_decoding_calls(ast.parse(path.read_text(encoding="utf-8")), "<module>", found)
         calls += [(path.name, where) for where in found]
-    assert calls == [("netutil.py", "decode_json_line")]
+    assert calls == [("jsonio.py", "decode_json_line")]

@@ -1,8 +1,9 @@
-"""The rescore goldens and the value types hold under every other supported Python on ``PATH``.
+"""The rescore goldens and the value types hold under every other supported Python installed.
 
 Each test runs, with ``PYTHONPATH`` set to this checkout's ``src``, under
-each of ``python3.10`` to ``python3.13`` that starts and is not the
-interpreter running the tests, and skips when no such interpreter starts.
+each ``python3.10`` to ``python3.13`` that starts and is not the version
+running the tests, whether on ``PATH`` or installed by pyenv, and skips
+when no such interpreter starts.
 ``geobox eval`` and ``geobox analyze`` over ``goldens/rescore/`` must
 write the checked-in report bytes. The value types' ``__init__`` stores
 through each version's slot descriptors, so a short script builds each
@@ -23,22 +24,42 @@ RESCORE_DIR = GOLDEN_DIR / "rescore"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
+def _candidates(minor: int) -> list[str]:
+    """``python3.<minor>`` on ``PATH``, then each under ``$PYENV_ROOT`` (default ``~/.pyenv``).
+
+    A pyenv shim on ``PATH`` may not start even when pyenv has the
+    version installed, so the installs under ``versions/`` are tried too.
+    """
+    on_path = shutil.which(f"python3.{minor}")
+    root = pathlib.Path(os.environ.get("PYENV_ROOT") or pathlib.Path.home() / ".pyenv")
+    installed = sorted(str(exe) for exe in root.glob(f"versions/*/bin/python3.{minor}"))
+    return ([on_path] if on_path else []) + installed
+
+
 def _other_pythons() -> list[str]:
-    """Each ``python3.10``..``python3.13`` on ``PATH`` that starts and is not this version."""
-    found = []
+    """Each ``python3.10``..``python3.13`` found that starts and is not this version.
+
+    An interpreter counts once per real path, and only if it starts and
+    reports its own minor version.
+    """
+    found, seen = [], set()
     for minor in range(10, 14):
-        exe = shutil.which(f"python3.{minor}")
-        if exe is None or (3, minor) == sys.version_info[:2]:
+        if (3, minor) == sys.version_info[:2]:
             continue
-        try:
-            probe = subprocess.run(
-                [exe, "-c", "import sys; print(sys.version_info[:2])"],
-                capture_output=True, text=True, timeout=60,
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            continue
-        if probe.returncode == 0 and probe.stdout.strip() == f"(3, {minor})":
-            found.append(exe)
+        for exe in _candidates(minor):
+            real = os.path.realpath(exe)
+            if real in seen:
+                continue
+            seen.add(real)
+            try:
+                probe = subprocess.run(
+                    [exe, "-c", "import sys; print(sys.version_info[:2])"],
+                    capture_output=True, text=True, timeout=60,
+                )
+            except (OSError, subprocess.TimeoutExpired):
+                continue
+            if probe.returncode == 0 and probe.stdout.strip() == f"(3, {minor})":
+                found.append(exe)
     return found
 
 

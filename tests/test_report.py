@@ -149,3 +149,40 @@ def test_error_report_markdown():
     out = render_error_report(_errors(), fmt="markdown")
     assert out.splitlines()[0] == "| Probe | Count |"
     assert "| Invalid parses | 2 |" in out
+
+
+def test_error_report_bytes_in_every_format():
+    errors = _errors()
+    assert render_error_report(errors, fmt="text") == (
+        "Scored                          20\n"
+        "Sign-flip suspects              1\n"
+        "Coord-copy suspects (0.01 deg)  1\n"
+        "Coord-copy suspects (0.1 deg)   2\n"
+        "Invalid parses                  2\n"
+        "Out-of-range parses             1\n"
+        "Precision > recall              3\n"
+        "Recall > precision              4"
+    )
+    assert render_error_report(errors, fmt="markdown") == (
+        "| Probe | Count |\n"
+        "| --- | --- |\n"
+        "| Scored | 20 |\n"
+        "| Sign-flip suspects | 1 |\n"
+        "| Coord-copy suspects (0.01 deg) | 1 |\n"
+        "| Coord-copy suspects (0.1 deg) | 2 |\n"
+        "| Invalid parses | 2 |\n"
+        "| Out-of-range parses | 1 |\n"
+        "| Precision > recall | 3 |\n"
+        "| Recall > precision | 4 |"
+    )
+    assert render_error_report(errors, fmt="csv") == (
+        "probe,count\n"
+        "n_scored,20\n"
+        "sign_flip_suspects,1\n"
+        "coord_copy_suspects,1\n"
+        "coord_copy_suspects_loose,2\n"
+        "invalid_parse,2\n"
+        "out_of_range_parse,1\n"
+        "precision_gt_recall,3\n"
+        "recall_gt_precision,4"
+    )

@@ -5,10 +5,11 @@ predictions file in ``goldens/rescore/`` (see its ``generate.py`` for the
 cases it covers) must write exactly the checked-in report bytes: every
 float of the metrics and every probe count.
 
-Both commands keep Python's cyclic garbage collector paused from entry to
-return. The tests count collections through ``gc.callbacks``, and show the
-pause is safe: the rows they build hold no reference cycles, so a
-collection right after frees as much for the goldens as for three lines.
+Both commands, and `geobox export-sft`, keep Python's cyclic garbage
+collector paused from entry to return. The tests count collections through
+``gc.callbacks``, and show the pause is safe: the rows they build hold no
+reference cycles, so a collection right after frees as much for the goldens
+as for three lines.
 """
 
 import gc
@@ -56,7 +57,8 @@ def _main_counting_collections(monkeypatch, argv):
     """``main(argv)``, and how many collections started while the command held its rows.
 
     The window opens when the command is entered and closes when the
-    list of predictions it read is freed, on its return.
+    list of predictions it read (for ``export-sft``, of records it
+    loaded) is freed, on its return.
     """
     started = []
     inside = False
@@ -66,7 +68,7 @@ def _main_counting_collections(monkeypatch, argv):
             nonlocal inside
             inside = False
 
-    command, read = cli._COMMANDS[argv[0]], cli.read_predictions
+    command, read, load = cli._COMMANDS[argv[0]], cli.read_predictions, cli.load_dataset
 
     def counted(args):
         nonlocal inside
@@ -82,6 +84,13 @@ def _main_counting_collections(monkeypatch, argv):
 
     monkeypatch.setitem(cli._COMMANDS, argv[0], counted)
     monkeypatch.setattr(cli, "read_predictions", lambda path: Rows(read(path)))
+    if argv[0] == "export-sft":  # the rows it holds are the records it loads
+
+        def load_rows(path):
+            records, report = load(path)
+            return Rows(records), report
+
+        monkeypatch.setattr(cli, "load_dataset", load_rows)
     gc.callbacks.append(on_gc)
     try:
         code = main(argv)
@@ -136,3 +145,43 @@ def test_rescore_rows_hold_no_cycles(capsys, tmp_path, gc_state, command):
     assert len(lines) == 311
     assert freed_after(RESCORE_DIR / "predictions.jsonl") == freed_after(few)
     capsys.readouterr()
+
+
+EXPORTS = ["direct", "geoaug-oracle"]
+
+
+def _export_argv(approach, out, dataset=RESCORE_DIR / "dataset.jsonl"):
+    return ["export-sft", "--dataset", str(dataset), "--approach", approach, "--out", str(out)]
+
+
+@pytest.mark.parametrize("approach", EXPORTS)
+def test_export_sft_runs_no_collection(capsys, monkeypatch, tmp_path, gc_state, approach):
+    gc.enable()
+    gc.collect()
+    argv = _export_argv(approach, tmp_path / "sft.jsonl")
+    code, collections = _main_counting_collections(monkeypatch, argv)
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert collections == 0
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("approach", EXPORTS)
+def test_export_sft_leaves_a_disabled_collector_disabled(
+    capsys, monkeypatch, tmp_path, gc_state, approach
+):
+    gc.disable()
+    argv = _export_argv(approach, tmp_path / "sft.jsonl")
+    code, collections = _main_counting_collections(monkeypatch, argv)
+    capsys.readouterr()
+    assert (code, collections) == (EXIT_OK, 0)
+    assert not gc.isenabled()
+
+
+def test_export_sft_data_error_restores_the_collector(capsys, tmp_path, gc_state):
+    bad = tmp_path / "dataset.jsonl"
+    bad.write_text("not json\n")
+    gc.enable()
+    assert main(_export_argv("direct", tmp_path / "sft.jsonl", bad)) == EXIT_DATA
+    assert "data error: " in capsys.readouterr().err
+    assert gc.isenabled()

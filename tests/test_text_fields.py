@@ -1,6 +1,6 @@
 """Text fields read JSON strings and numbers, never the repr of another value.
 
-Every loader reads its text fields through ``netutil.json_text``: a
+Every loader reads its text fields through ``jsonio.json_text``: a
 string as is, a number as its digits, ``null`` as the field's default
 when it has one. Anything else (``null`` in a required field, a boolean,
 a list, an object) is refused with the field named: a dataset or
@@ -19,7 +19,7 @@ import pytest
 from geobox import GazetteerStore
 from geobox.cli import EXIT_DATA, main
 from geobox.dataset import DataError, load_dataset, read_predictions
-from geobox.netutil import json_text
+from geobox.jsonio import json_text
 from geobox.reasoner import ChatClient, ChatRequest
 
 _REC = {
